@@ -1,6 +1,6 @@
 """Inner loop of the moment engine.
 
-The fixed-point recurrence P <- sum_i (mu_i (P + I))^2 runs here on plain
+The fixed-point system P = sum_i (mu_i (P + I))^2 is solved here on plain
 Python lists.  Series are length-(M+1) coefficient lists over one of three
 coefficient rings, picked per input:
 
@@ -10,10 +10,16 @@ coefficient rings, picked per input:
 * ``Scalar``         for anything else.
 
 The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
-of z-degree <= 1), so products with them are cheap and P keeps the same
-nonzero-row support, stored as a row dict.  The expensive part, squaring
-A = mu_i (P + I), only touches A's nonzero rows.  None of this changes the
-result: it is classical matrix multiplication with zero blocks skipped.
+of z-degree <= 1), so P and A = mu_i (P + I) are stored as dicts of nonzero
+rows, each a dict of nonzero columns.  None of this changes the result: it
+is classical matrix multiplication with zero blocks skipped.
+
+One step function serves two drivers.  ``iterate`` runs it on every order at
+once, ``steps`` times from P = 0: the paper's sweep, kept as the reference.
+``solve`` runs it on one order k at a time.  Coefficient k of P depends on
+P[0..k-1] and on P[k] only through the z^0 part of the mu_i, which is
+nilpotent of index at most N; so repeating the step on order k alone reaches
+a fixed point within N passes, and the pass after that changes nothing.
 """
 
 from __future__ import annotations
@@ -96,100 +102,81 @@ def _dot(a, b):
     return sum(map(_mul, a, b))
 
 
-def _eff_len(series) -> int:
-    for k in range(len(series) - 1, -1, -1):
-        if series[k]:
-            return k + 1
-    return 0
+def _step(mats: SparseMats, p: dict, k0: int, k1: int, n_coeffs: int, zero) -> bool:
+    """Recompute orders k0..k1-1 of P <- sum_i (mu_i (P + I))^2 in place.
+
+    A_i is rebuilt on orders 0..k1-1 from P as it stands before the step, so
+    the window updates all at once.  Returns whether any coefficient in the
+    window changed.
+    """
+    new: dict = {}
+    for mu in mats:
+        a: dict = {}
+        for j, entries in mu.items():
+            arow = a[j] = {}
+            for t, zp in entries:
+                for e, c in enumerate(zp[:k1]):
+                    if not c:
+                        continue
+                    cell = arow.setdefault(t, [zero] * k1)
+                    cell[e] = cell[e] + c
+                    for l, src in p.get(t, {}).items():
+                        cell = arow.setdefault(l, [zero] * k1)
+                        cell[e:] = [x + c * y for x, y in zip(cell[e:], src)]
+        for j, arow in a.items():
+            out = new.setdefault(j, {})
+            for t, f in arow.items():
+                for l, g in a.get(t, {}).items():
+                    dst = out.setdefault(l, [zero] * (k1 - k0))
+                    for k in range(k0, k1):
+                        dst[k - k0] = dst[k - k0] + _dot(f[: k + 1], g[k::-1])
+    changed = False
+    for j, out in new.items():
+        row = p.setdefault(j, {})
+        for l, window in out.items():
+            cell = row.setdefault(l, [zero] * n_coeffs)
+            if cell[k0:k1] != window:
+                cell[k0:k1] = window
+                changed = True
+    return changed
 
 
-def _mul_acc(dst, f, lf, g, n):
-    """dst += f*g truncated to length n; lf = effective length of f."""
-    if not lf:
-        return
-    lg = _eff_len(g)
-    if not lg:
-        return
-    top = lf + lg - 1
-    if top > n:
-        top = n
-    for k in range(top):
-        lo = k - lg + 1
-        if lo < 0:
-            lo = 0
-        hi = k if k < lf else lf - 1
-        stop = k - hi - 1
-        seg = g[k - lo :: -1] if stop < 0 else g[k - lo : stop : -1]
-        v = _dot(f[lo : hi + 1], seg)
-        if v:
-            dst[k] = dst[k] + v
+def _entry(p: dict, dim: int, n_coeffs: int, zero) -> list:
+    """Entry (1, N) of P."""
+    return p.get(0, {}).get(dim - 1, [zero] * n_coeffs)[:]
 
 
 def iterate(
     mats: SparseMats, dim: int, n_coeffs: int, steps: int, zero
 ) -> list:
-    """Run the recurrence ``steps`` times from P = 0; return entry (1, N).
+    """Run the step on every order ``steps`` times from P = 0; entry (1, N).
 
     ``mats`` holds the reduced representation matrices with rows of
     (column, z-coefficient-tuple) pairs; ``n_coeffs`` is M + 1.
     """
-    rows_p: Dict[int, List[list]] = {}
-    zrow = [zero] * n_coeffs
+    p: dict = {}
     for _ in range(steps):
-        new_rows: Dict[int, List[list]] = {}
-        for mu in mats:
-            # A = mu * (P + I), restricted to mu's nonzero rows
-            a_rows: Dict[int, list] = {}
-            for j, entries in mu.items():
-                row = [None] * dim
-                for t, zp in entries:
-                    # identity contribution: zp lands in column t
-                    cell = row[t]
-                    if cell is None:
-                        cell = row[t] = zrow[:]
-                    for e, c in enumerate(zp):
-                        if c and e < n_coeffs:
-                            cell[e] = cell[e] + c
-                    pt = rows_p.get(t)
-                    if pt is None:
-                        continue
-                    for l in range(dim):
-                        src = pt[l]
-                        if src is None:
-                            continue
-                        cell = row[l]
-                        for e, c in enumerate(zp):
-                            if not c:
-                                continue
-                            if cell is None:
-                                cell = row[l] = zrow[:]
-                            for k in range(n_coeffs - e):
-                                sk = src[k]
-                                if sk:
-                                    cell[k + e] = cell[k + e] + c * sk
-                a_rows[j] = row
-            # accumulate A*A into the next P
-            for j, arow in a_rows.items():
-                out = new_rows.get(j)
-                if out is None:
-                    out = new_rows[j] = [None] * dim
-                for t, trow in a_rows.items():
-                    f = arow[t]
-                    if f is None:
-                        continue
-                    lf = _eff_len(f)
-                    if not lf:
-                        continue
-                    for l in range(dim):
-                        g = trow[l]
-                        if g is None:
-                            continue
-                        dst = out[l]
-                        if dst is None:
-                            dst = out[l] = zrow[:]
-                        _mul_acc(dst, f, lf, g, n_coeffs)
-        rows_p = new_rows
-    top = rows_p.get(0)
-    if top is None or top[dim - 1] is None:
-        return zrow[:]
-    return top[dim - 1]
+        _step(mats, p, 0, n_coeffs, n_coeffs, zero)
+    return _entry(p, dim, n_coeffs, zero)
+
+
+def solve(mats: SparseMats, dim: int, n_coeffs: int, zero) -> Tuple[list, int]:
+    """Solve for P one order at a time; entry (1, N) and the passes run.
+
+    Order k is final once a pass on it alone changes nothing.  An order still
+    changing after N + 1 passes means the z^0 part of the mu_i has a cycle,
+    so the system has no finite solution and ``AssertionError`` is raised.
+    """
+    p: dict = {}
+    passes = 0
+    for k in range(n_coeffs):
+        for _ in range(dim + 1):
+            passes += 1
+            if not _step(mats, p, k, k + 1, n_coeffs, zero):
+                break
+        else:
+            raise AssertionError(
+                f"order {k} still changing after {dim + 1} passes: the z^0 "
+                "part of the representation is not nilpotent"
+            )
+    return _entry(p, dim, n_coeffs, zero), passes

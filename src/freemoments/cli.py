@@ -10,7 +10,8 @@ Three subcommands:
 
 Values are always printed as exact fractions; ``--decimal`` adds a floating
 approximation alongside (never instead).  Exit codes: 0 success, 1 verify
-mismatch, 2 parse error, 3 internal error, 4 oracle cap exceeded.
+mismatch, 2 parse error, 3 internal error, 4 oracle cap exceeded, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 EXIT_CAP = 4
+EXIT_INTERRUPTED = 130
 
 ENV_EXPANSION_CAP = "FREEMOMENTS_EXPANSION_CAP"
 
@@ -329,6 +331,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:  # invariant violations and everything unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

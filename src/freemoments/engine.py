@@ -5,11 +5,16 @@ Given a noncommutative polynomial p and a target order M, the engine
 1. splits p = c + q with q constant-free;
 2. encodes (z*q)* as a linear representation (after clearing denominators,
    so the hot loop runs on integer coefficients);
-3. reduces the representation matrices into C[z]/(z^(M+1)), realizing the
-   substitution X_i -> 1 at the matrix level;
-4. iterates P <- sum_i (mu_i (P + I))^2 for T = deg(q)*M steps, after which
-   the z^m coefficient of entry (1, N) is tau(q(s)^m) for every m <= M;
+3. reads the representation matrices into sparse rows over C[z]/(z^(M+1)),
+   realizing the substitution X_i -> 1 at the matrix level;
+4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order until a
+   pass leaves it unchanged (at most N + 1 passes, else an internal error);
+   the z^m coefficient of entry (1, N) is then tau(q(s)^m) for every m <= M;
 5. recovers tau(p(s)^m) by the binomial theorem in c.
+
+``reduce_rep`` and ``iterate_system`` are the paper's route through dense
+truncated matrices and T = deg(q)*M full sweeps.  ``moments`` does not use
+them; they stay as the reference that the stabilization checks run.
 
 Everything is exact; the returned moments are Scalars.
 """
@@ -25,7 +30,7 @@ from . import _kernel
 from .linrep import LinearRepresentation, build_zq_star
 from .ncpoly import NCPolynomial, split_constant
 from .scalar import ONE, Scalar
-from .series import TruncatedSeries
+from .series import TruncatedSeries, ZPoly
 
 ReducedMats = List[List[List[TruncatedSeries]]]
 
@@ -36,7 +41,7 @@ class MomentVector:
 
     values: Tuple[Scalar, ...]
     rep_dim: int        # N, or 0 when p was constant and no encoding was built
-    iterations: int     # fixed-point steps performed
+    iterations: int     # single-order passes of the fixed-point solve
     n_vars: int
     degree: int
     n_terms: int
@@ -47,6 +52,8 @@ class MomentVector:
 
     def value(self, m: int) -> Scalar:
         """tau(p(s)^m) for 1 <= m <= M."""
+        if m < 1:
+            raise IndexError(f"moment order {m} outside 1..{self.max_order}")
         return self.values[m - 1]
 
 
@@ -56,6 +63,42 @@ def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
         [[entry.truncate(truncation_order) for entry in row] for row in mat]
         for mat in rep.mats
     ]
+
+
+def _sparse_rows(mats, n_coeffs: int):
+    """Matrices of ZPoly or TruncatedSeries entries as kernel input.
+
+    Returns the per-variable sparse rows with coefficients truncated at z^M
+    and converted to the cheapest ring, plus that ring's name and zero.
+    """
+    kind = _kernel.classify(
+        c for mat in mats for row in mat for entry in row for c in entry.coeffs
+    )
+    sparse = []
+    for mat in mats:
+        rows = {}
+        for j, row in enumerate(mat):
+            entries = []
+            for t, entry in enumerate(row):
+                coeffs = ZPoly(entry.coeffs[:n_coeffs]).coeffs
+                if coeffs:
+                    entries.append(
+                        (t, tuple(_kernel.scalar_to_ring(c, kind) for c in coeffs))
+                    )
+            if entries:
+                rows[j] = entries
+        sparse.append(rows)
+    return sparse, kind, _kernel.scalar_to_ring(Scalar(0), kind)
+
+
+def _to_scalars(raw: list, kind: str) -> List[Scalar]:
+    """Kernel output back to Scalars, checking the constant term."""
+    if raw[0]:
+        # every path out of state 1 carries at least one factor of z
+        raise AssertionError(
+            "iteration produced a nonzero constant term at entry (1, N)"
+        )
+    return [_kernel.ring_to_scalar(v, kind) for v in raw]
 
 
 def iterate_system(
@@ -69,37 +112,9 @@ def iterate_system(
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
     n_coeffs = truncation_order + 1
-    kind = _kernel.classify(
-        c for mat in mats for row in mat for entry in row for c in entry.coeffs
-    )
-    sparse = []
-    for mat in mats:
-        rows = {}
-        for j in range(dim):
-            entries = []
-            for t in range(dim):
-                coeffs = mat[j][t].coeffs
-                top = len(coeffs)
-                while top and not coeffs[top - 1]:
-                    top -= 1
-                if top:
-                    entries.append(
-                        (t, tuple(_kernel.scalar_to_ring(c, kind) for c in coeffs[:top]))
-                    )
-            if entries:
-                rows[j] = entries
-        sparse.append(rows)
-    zero = _kernel.scalar_to_ring(Scalar(0), kind)
+    sparse, kind, zero = _sparse_rows(mats, n_coeffs)
     raw = _kernel.iterate(sparse, dim, n_coeffs, iterations, zero)
-    result = TruncatedSeries(
-        [_kernel.ring_to_scalar(v, kind) for v in raw], truncation_order
-    )
-    if result.coefficient(0):
-        # every path out of state 1 carries at least one factor of z
-        raise AssertionError(
-            "iteration produced a nonzero constant term at entry (1, N)"
-        )
-    return result
+    return TruncatedSeries(_to_scalars(raw, kind), truncation_order)
 
 
 def moments(p: NCPolynomial, max_order: int) -> MomentVector:
@@ -111,7 +126,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         values = tuple(c ** m for m in range(1, max_order + 1))
         return MomentVector(values, 0, 0, p.n_vars, p.degree, p.n_terms)
 
-    # clear denominators so the iteration runs on (Gaussian) integers;
+    # clear denominators so the solve runs on (Gaussian) integers;
     # tau(q^m) = tau((lam*q)^m) / lam^m undoes the scaling exactly
     lam = math.lcm(
         *(
@@ -121,17 +136,11 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         )
     )
     rep = build_zq_star(q.scale(lam) if lam != 1 else q)
-    reduced = reduce_rep(rep, max_order)
-    iterations = q.degree * max_order
-    series = iterate_system(reduced, rep.dim, max_order, iterations)
+    sparse, kind, zero = _sparse_rows(rep.mats, max_order + 1)
+    raw, passes = _kernel.solve(sparse, rep.dim, max_order + 1, zero)
+    series = _to_scalars(raw, kind)
 
-    tau_q: List[Scalar] = [ONE]
-    lam_scalar = Scalar(lam)
-    lam_pow = ONE
-    for m in range(1, max_order + 1):
-        lam_pow = lam_pow * lam_scalar
-        coeff = series.coefficient(m)
-        tau_q.append(coeff / lam_pow if lam != 1 else coeff)
+    tau_q = [ONE] + [series[m] / Scalar(lam**m) for m in range(1, max_order + 1)]
 
     values = []
     for m in range(1, max_order + 1):
@@ -145,7 +154,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         else:
             values.append(tau_q[m])
     return MomentVector(
-        tuple(values), rep.dim, iterations, p.n_vars, p.degree, p.n_terms
+        tuple(values), rep.dim, passes, p.n_vars, p.degree, p.n_terms
     )
 
 

@@ -273,6 +273,12 @@ def infer_variable_count(text: str) -> int:
 
 
 def _tokenize(text: str):
+    if "." in text:
+        raise PolyParseError(
+            "decimal literals are not supported; use exact fractions like 3/2",
+            text,
+            text.index("."),
+        )
     tokens = []
     i = 0
     length = len(text)
@@ -281,23 +287,10 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch == ".":
-            raise PolyParseError(
-                "decimal literals are not supported; use exact fractions like 3/2",
-                text,
-                i,
-            )
         if ch.isdigit():
             start = i
             while i < length and text[i].isdigit():
                 i += 1
-            if i < length and text[i] == ".":
-                raise PolyParseError(
-                    "decimal literals are not supported; use exact fractions "
-                    "like 3/2",
-                    text,
-                    i,
-                )
             numerator = int(text[start:i])
             if i < length and text[i] == "/":
                 i += 1
@@ -306,13 +299,6 @@ def _tokenize(text: str):
                 den_start = i
                 while i < length and text[i].isdigit():
                     i += 1
-                if i < length and text[i] == ".":
-                    raise PolyParseError(
-                        "decimal literals are not supported; use exact "
-                        "fractions like 3/2",
-                        text,
-                        i,
-                    )
                 denominator = int(text[den_start:i])
                 if denominator == 0:
                     raise PolyParseError("zero denominator", text, den_start)

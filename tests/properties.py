@@ -6,6 +6,7 @@ asserts exact equality throughout (no tolerances anywhere).
 
 from __future__ import annotations
 
+import math
 import random
 
 from freemoments import (
@@ -308,3 +309,54 @@ def check_hankel_positivity(cases=200, seed=116):
         mv = moments(poly, 6)
         for minor in hankel_leading_minors(mv.values, size=4):
             assert minor.im == 0 and minor.re >= 0, str(poly)
+
+
+def random_differential_poly(rng, max_terms=3, max_deg=4):
+    """Complex and rational coefficients, repeated words, unused variables.
+
+    Variables above ``used`` never appear, and a word drawn twice has its
+    coefficients summed (they may cancel), so the polynomial can be zero.
+    """
+    n_vars = rng.randint(1, 4)
+    used = rng.randint(1, n_vars)
+    poly = NCPolynomial.zero(n_vars)
+    words = []
+    for _ in range(rng.randint(1, max_terms)):
+        if words and rng.random() < 0.3:
+            word = rng.choice(words)
+        else:
+            word = random_word(rng, used, 0, max_deg)
+        words.append(word)
+        coeff = random_nonzero_scalar(rng, allow_imag=True, allow_frac=True)
+        poly = poly + NCPolynomial(n_vars, {word: coeff})
+    return poly
+
+
+def check_fast_vs_reference(cases=60, seed=117, max_order=4, brute_cap=10**4):
+    """moments() against the paper's sweeps and, where cheap, the oracle.
+
+    The reference sweeps run on the unscaled rational coefficients, in the
+    slow Scalar ring, so three drawn terms and M = 4 keep this to seconds.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        poly = random_differential_poly(rng)
+        if poly.is_zero():
+            continue
+        c, q = split_constant(poly)
+        mv = moments(poly, max_order)
+        tau_q = [Scalar(1)] + [Scalar(0)] * max_order
+        if not q.is_zero():
+            rep = build_zq_star(q)
+            series = iterate_system(
+                reduce_rep(rep, max_order), rep.dim, max_order, q.degree * max_order
+            )
+            tau_q[1:] = series.coeffs[1:]
+        for m in range(1, max_order + 1):
+            expected = sum(
+                (Scalar(math.comb(m, k)) * c ** k * tau_q[m - k] for k in range(m + 1)),
+                Scalar(0),
+            )
+            assert mv.value(m) == expected, (str(poly), m)
+            if poly.n_terms ** m <= brute_cap:
+                assert mv.value(m) == brute_moment(poly, m), (str(poly), m)

@@ -40,7 +40,7 @@ def test_moments_json_schema_golden(capsys):
         "n_vars": 1,
         "M": 4,
         "N": 10,
-        "iterations": 12,
+        "iterations": 16,
         "moments": [
             {"m": 1, "re": "0", "im": "0"},
             {"m": 2, "re": "2", "im": "0"},
@@ -226,3 +226,31 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
     assert code == 3
     assert "internal error" in err
+
+
+def test_kernel_invariant_exit_3(capsys, monkeypatch):
+    import freemoments.engine as engine_module
+    from freemoments import LinearRepresentation, ZPoly
+
+    def cyclic(q):
+        # a z^0 self-loop on state 1 makes the fixed-point solve diverge
+        one, zero = ZPoly((1,)), ZPoly()
+        return LinearRepresentation(1, 2, [[[one, zero], [zero, zero]]])
+
+    monkeypatch.setattr(engine_module, "build_zq_star", cyclic)
+    code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
+    assert code == 3
+    assert "not nilpotent" in err
+
+
+def test_keyboard_interrupt_exit_130(capsys, monkeypatch):
+    import freemoments.cli as cli_module
+
+    def interrupted(poly, max_order):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "moments", interrupted)
+    code, out, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"

@@ -13,6 +13,7 @@ from freemoments import (
     moments,
     parse_polynomial,
 )
+from freemoments import _kernel
 from freemoments.engine import complexity_probe, iterate_system, reduce_rep
 from freemoments.linrep import rep_variable
 
@@ -101,7 +102,7 @@ def test_moments_metadata():
     mv = moments(p, 8)
     assert mv.max_order == 8
     assert mv.rep_dim == 10
-    assert mv.iterations == 16
+    assert mv.iterations == 17
     assert mv.n_vars == 2
     assert mv.degree == 2
     assert mv.n_terms == 2
@@ -117,6 +118,21 @@ def test_moments_rational_scaling():
 def test_moments_rejects_bad_order():
     with pytest.raises(ValueError):
         moments(NCPolynomial.variable(1, 1), 0)
+
+
+def test_moment_value_rejects_order_below_one():
+    mv = moments(parse_polynomial("x1", 1), 4)
+    for m in (0, -1):
+        with pytest.raises(IndexError):
+            mv.value(m)
+
+
+def test_solve_rejects_z0_cycle():
+    # a z^0 self-loop on state 0: order 0 runs 0, 1, 4, 25, ... and never
+    # settles, so the pass guard must stop it
+    mats = [{0: [(0, (1,))]}]
+    with pytest.raises(AssertionError, match="not nilpotent"):
+        _kernel.solve(mats, 2, 3, 0)
 
 
 def test_moments_matches_oracle_smoke():
@@ -204,3 +220,7 @@ def test_self_adjoint_reality_suite():
 
 def test_hankel_positivity_suite():
     properties.check_hankel_positivity()
+
+
+def test_fast_vs_reference_suite():
+    properties.check_fast_vs_reference()

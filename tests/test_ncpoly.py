@@ -76,6 +76,13 @@ def test_parse_rejects_decimals():
     assert "exact fractions" in str(err.value)
     with pytest.raises(PolyParseError):
         parse_polynomial("x1 + .5", 1)
+    for text, position in [
+        ("1.5*x1", 1), ("x1 + .5", 5), (".5*x1", 0), ("1/2.5*x1", 3),
+    ]:
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, 1)
+        assert "exact fractions" in str(err.value), text
+        assert err.value.position == position, text
 
 
 def test_parse_variable_range():
