@@ -20,7 +20,9 @@ from .errors import (
     FreeMomentsError,
     InvalidPolynomialError,
     OrderMismatchError,
+    ParseCapExceededError,
     PolyParseError,
+    UsageError,
     VariableMismatchError,
 )
 from .linrep import (
@@ -65,9 +67,11 @@ __all__ = [
     "MomentVector",
     "NCPolynomial",
     "OrderMismatchError",
+    "ParseCapExceededError",
     "PolyParseError",
     "Scalar",
     "TruncatedSeries",
+    "UsageError",
     "VariableMismatchError",
     "Word",
     "ZPoly",

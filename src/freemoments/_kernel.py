@@ -1,13 +1,11 @@
 """Inner loop of the moment engine.
 
 The fixed-point system P = sum_i (mu_i (P + I))^2 is solved here on plain
-Python lists.  Series are length-(M+1) coefficient lists over one of three
-coefficient rings, picked per input:
-
-* ``int``            when every coefficient is a plain integer (the common
-                     case; the engine rescales rational inputs to land here),
-* ``GaussInt``       for Gaussian-integer coefficients,
-* ``Scalar``         for anything else.
+Python lists.  Series are length-(M+1) coefficient lists over any ring whose
+zero the caller passes: ``moments`` always hands in ``int`` (denominators
+cleared, complex coefficients written as 2x2 integer blocks), and only the
+reference ``iterate_system`` falls back to ``Scalar`` for rational or
+complex entries.
 
 The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
 of z-degree <= 1), so P and A = mu_i (P + I) are stored as dicts of nonzero
@@ -27,75 +25,8 @@ from __future__ import annotations
 from operator import mul as _mul
 from typing import Dict, List, Sequence, Tuple
 
-from .scalar import Scalar
-
 # sparse matrix: per variable, row index -> list of (col, coeff tuple)
 SparseMats = Sequence[Dict[int, List[Tuple[int, tuple]]]]
-
-
-class GaussInt:
-    """A Gaussian integer a + b*i with exact int parts."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-    def __add__(self, other):
-        if isinstance(other, GaussInt):
-            return GaussInt(self.a + other.a, self.b + other.b)
-        return GaussInt(self.a + other, self.b)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, GaussInt):
-            return GaussInt(
-                self.a * other.a - self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        return GaussInt(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussInt):
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __repr__(self):
-        return f"GaussInt({self.a}, {self.b})"
-
-
-def classify(coeffs) -> str:
-    """Pick the cheapest coefficient ring holding all given Scalars."""
-    kind = "int"
-    for c in coeffs:
-        if c.re.denominator != 1 or c.im.denominator != 1:
-            return "scalar"
-        if c.im:
-            kind = "gauss"
-    return kind
-
-
-def scalar_to_ring(c: Scalar, kind: str):
-    if kind == "int":
-        return c.re.numerator
-    if kind == "gauss":
-        return GaussInt(c.re.numerator, c.im.numerator)
-    return c
-
-
-def ring_to_scalar(v, kind: str) -> Scalar:
-    if kind == "int":
-        return Scalar(v)
-    if kind == "gauss":
-        return Scalar(v.a, v.b)
-    return v
 
 
 def _dot(a, b):
@@ -141,11 +72,6 @@ def _step(mats: SparseMats, p: dict, k0: int, k1: int, n_coeffs: int, zero) -> b
     return changed
 
 
-def _entry(p: dict, dim: int, n_coeffs: int, zero) -> list:
-    """Entry (1, N) of P."""
-    return p.get(0, {}).get(dim - 1, [zero] * n_coeffs)[:]
-
-
 def iterate(
     mats: SparseMats, dim: int, n_coeffs: int, steps: int, zero
 ) -> list:
@@ -157,11 +83,11 @@ def iterate(
     p: dict = {}
     for _ in range(steps):
         _step(mats, p, 0, n_coeffs, n_coeffs, zero)
-    return _entry(p, dim, n_coeffs, zero)
+    return p.get(0, {}).get(dim - 1, [zero] * n_coeffs)
 
 
-def solve(mats: SparseMats, dim: int, n_coeffs: int, zero) -> Tuple[list, int]:
-    """Solve for P one order at a time; entry (1, N) and the passes run.
+def solve(mats: SparseMats, dim: int, n_coeffs: int, zero) -> Tuple[dict, int]:
+    """Solve for P one order at a time; P as sparse rows and the passes run.
 
     Order k is final once a pass on it alone changes nothing.  An order still
     changing after N + 1 passes means the z^0 part of the mu_i has a cycle,
@@ -179,4 +105,4 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, zero) -> Tuple[list, int]:
                 f"order {k} still changing after {dim + 1} passes: the z^0 "
                 "part of the representation is not nilpotent"
             )
-    return _entry(p, dim, n_coeffs, zero), passes
+    return p, passes

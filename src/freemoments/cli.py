@@ -10,8 +10,9 @@ Three subcommands:
 
 Values are always printed as exact fractions; ``--decimal`` adds a floating
 approximation alongside (never instead).  Exit codes: 0 success, 1 verify
-mismatch, 2 parse error, 3 internal error, 4 oracle cap exceeded, 130
-interrupted (Ctrl-C).
+mismatch, 2 parse or usage error, 3 internal error, 4 size cap exceeded (the
+oracle's expansion cap or the parser's fixed limits), 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from .engine import complexity_probe, moments
-from .errors import CapExceededError, PolyParseError
+from .errors import CapExceededError, ParseCapExceededError, PolyParseError, UsageError
 from .ncpoly import NCPolynomial, infer_variable_count, parse_polynomial
 from .oracle import CUMULANT_CAP, DEFAULT_EXPANSION_CAP, brute_moment, free_cumulants
 from .scalar import Scalar
@@ -118,16 +119,14 @@ def _expansion_cap(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise PolyParseError(
-                f"{ENV_EXPANSION_CAP} must be an integer", env, 0
-            )
+            raise UsageError(f"{ENV_EXPANSION_CAP} must be an integer, got {env!r}")
     return DEFAULT_EXPANSION_CAP
 
 
 def _load_polynomial(args) -> tuple[NCPolynomial, List[str]]:
     n_vars = args.n_vars if args.n_vars is not None else infer_variable_count(args.poly)
     if n_vars < 1:
-        raise PolyParseError("--n-vars must be positive", args.poly, 0)
+        raise UsageError("--n-vars must be positive")
     poly = parse_polynomial(args.poly, n_vars)
     warnings = []
     if not poly.is_self_adjoint():
@@ -145,7 +144,7 @@ def _approx(value: Scalar) -> dict:
 def _cmd_moments(args, out) -> int:
     poly, warnings = _load_polynomial(args)
     if args.max_order < 1:
-        raise PolyParseError("--max-order must be at least 1", args.poly, 0)
+        raise UsageError("--max-order must be at least 1")
     mv = moments(poly, args.max_order)
 
     if args.format == "json":
@@ -207,7 +206,7 @@ def _cmd_moments(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     poly, warnings = _load_polynomial(args)
     if args.max_order < 1:
-        raise PolyParseError("--max-order must be at least 1", args.poly, 0)
+        raise UsageError("--max-order must be at least 1")
     cap = _expansion_cap(args)
     mv = moments(poly, args.max_order)
     mismatches = []
@@ -260,9 +259,9 @@ def _cmd_bench(args, out) -> int:
     try:
         orders = [int(s) for s in args.sweep.split(",") if s.strip()]
     except ValueError:
-        raise PolyParseError("--sweep must be comma-separated integers", args.sweep, 0)
+        raise UsageError(f"--sweep must be comma-separated integers, got {args.sweep!r}")
     if not orders or any(m < 1 for m in orders):
-        raise PolyParseError("--sweep orders must be positive", args.sweep, 0)
+        raise UsageError(f"--sweep orders must be positive, got {args.sweep!r}")
     cap = _expansion_cap(args)
     report = complexity_probe(poly, orders, cap)
 
@@ -318,9 +317,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, out)
         return _cmd_bench(args, out)
-    except PolyParseError as exc:
+    except (PolyParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ParseCapExceededError as exc:
+        print(f"error: {exc}\nhint: these parser limits are fixed; write a smaller expression", file=sys.stderr)
+        return EXIT_CAP
     except CapExceededError as exc:
         print(
             f"error: {exc}\nhint: lower --max-order or raise --expansion-cap "

@@ -2,19 +2,28 @@
 
 Given a noncommutative polynomial p and a target order M, the engine
 
-1. splits p = c + q with q constant-free;
-2. encodes (z*q)* as a linear representation (after clearing denominators,
-   so the hot loop runs on integer coefficients);
-3. reads the representation matrices into sparse rows over C[z]/(z^(M+1)),
-   realizing the substitution X_i -> 1 at the matrix level;
+1. splits p = c + q with q constant-free and clears q's denominators, so
+   every coefficient is a Gaussian integer;
+2. builds (z*q)* as a weighted automaton on the prefix trie of q's words:
+   a start state, one state per proper nonempty prefix and a final state,
+   so N = 2 + #prefixes.  z rides on the edges leaving the start state, the
+   term coefficient on the edge into the final state, and every edge into
+   the final state is copied into the start state's column (the star);
+3. writes the automaton straight into sparse kernel rows over plain ``int``,
+   realizing the substitution X_i -> 1.  When a coefficient is complex,
+   state s becomes rows 2s and 2s+1 and a + b*i the block [[a, -b], [b, a]],
+   a ring homomorphism, so the solve stays over ``int``;
 4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order until a
    pass leaves it unchanged (at most N + 1 passes, else an internal error);
-   the z^m coefficient of entry (1, N) is then tau(q(s)^m) for every m <= M;
+   the z^m coefficient of entry (start, final) is then tau(q(s)^m) for every
+   m <= M (real part at row 0, imaginary part at row 1 of the blocks);
 5. recovers tau(p(s)^m) by the binomial theorem in c.
 
-``reduce_rep`` and ``iterate_system`` are the paper's route through dense
-truncated matrices and T = deg(q)*M full sweeps.  ``moments`` does not use
-them; they stay as the reference that the stabilization checks run.
+``build_zq_star``, ``reduce_rep`` and ``iterate_system`` are the paper's
+route through dense truncated matrices and T = deg(q)*M full sweeps.
+``moments`` does not use them; they stay as the reference that the
+stabilization checks run, and ``_sparse_rows`` feeds them to the kernel in
+``int`` when every entry is a real integer and in ``Scalar`` otherwise.
 
 Everything is exact; the returned moments are Scalars.
 """
@@ -27,7 +36,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import _kernel
-from .linrep import LinearRepresentation, build_zq_star
+# build_zq_star: the paper's builder, kept here as the reference route
+from .linrep import LinearRepresentation, build_zq_star  # noqa: F401
 from .ncpoly import NCPolynomial, split_constant
 from .scalar import ONE, Scalar
 from .series import TruncatedSeries, ZPoly
@@ -40,7 +50,8 @@ class MomentVector:
     """Moments tau(p(s)^m) for m = 1..M plus a few size statistics."""
 
     values: Tuple[Scalar, ...]
-    rep_dim: int        # N, or 0 when p was constant and no encoding was built
+    rep_dim: int        # N states of the trie automaton (not doubled for
+                        # complex inputs), or 0 when p was constant
     iterations: int     # single-order passes of the fixed-point solve
     n_vars: int
     degree: int
@@ -68,11 +79,13 @@ def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
 def _sparse_rows(mats, n_coeffs: int):
     """Matrices of ZPoly or TruncatedSeries entries as kernel input.
 
-    Returns the per-variable sparse rows with coefficients truncated at z^M
-    and converted to the cheapest ring, plus that ring's name and zero.
+    Returns the per-variable sparse rows with coefficients truncated at z^M,
+    as plain ints when every coefficient is a real integer and as Scalars
+    otherwise, plus that ring's zero.
     """
-    kind = _kernel.classify(
-        c for mat in mats for row in mat for entry in row for c in entry.coeffs
+    as_int = all(
+        c.is_real() and c.re.denominator == 1
+        for mat in mats for row in mat for entry in row for c in entry.coeffs
     )
     sparse = []
     for mat in mats:
@@ -83,22 +96,47 @@ def _sparse_rows(mats, n_coeffs: int):
                 coeffs = ZPoly(entry.coeffs[:n_coeffs]).coeffs
                 if coeffs:
                     entries.append(
-                        (t, tuple(_kernel.scalar_to_ring(c, kind) for c in coeffs))
+                        (t, tuple(c.re.numerator for c in coeffs) if as_int else coeffs)
                     )
             if entries:
                 rows[j] = entries
         sparse.append(rows)
-    return sparse, kind, _kernel.scalar_to_ring(Scalar(0), kind)
+    return sparse, 0 if as_int else Scalar(0)
 
 
-def _to_scalars(raw: list, kind: str) -> List[Scalar]:
-    """Kernel output back to Scalars, checking the constant term."""
-    if raw[0]:
-        # every path out of state 1 carries at least one factor of z
-        raise AssertionError(
-            "iteration produced a nonzero constant term at entry (1, N)"
-        )
-    return [_kernel.ring_to_scalar(v, kind) for v in raw]
+def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
+    """Kernel rows of (z*q)* on the prefix trie of q's words.
+
+    q must be constant-free, nonzero and have Gaussian-integer coefficients.
+    Returns the per-variable rows (row -> [(col, z-coefficient tuple)]), the
+    state count N, and the block width: 1, or 2 when some coefficient is
+    complex and every state s spans rows 2s, 2s+1.  State 0 is the start
+    state and N - 1 the final state.
+    """
+    terms = list(q.terms())
+    block = 2 if any(c.im for _, c in terms) else 1
+    states = {(): 0}  # prefix -> state; the empty prefix is the start state
+    for word, _ in terms:
+        for j in range(1, len(word)):
+            states.setdefault(word[:j], len(states))
+    final = len(states)
+    edges = {}  # (letter, src, dst) -> coefficient
+    for word, c in terms:
+        for j in range(1, len(word)):
+            edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = ONE
+        src = states[word[:-1]]
+        edges[word[-1], src, final] = edges[word[-1], src, 0] = c
+    rows: List[dict] = [{} for _ in range(q.n_vars)]
+    for (letter, src, dst), c in edges.items():
+        re, im = c.re.numerator, c.im.numerator
+        block_rows = ((re, -im), (im, re)) if block == 2 else ((re,),)
+        for dr, parts in enumerate(block_rows):
+            row = rows[letter - 1].setdefault(block * src + dr, [])
+            for dc, x in enumerate(parts):
+                if x:
+                    # every edge leaving the start state carries one z
+                    row.append((block * dst + dc, (0, x) if src == 0 else (x,)))
+    return rows, final + 1, block
 
 
 def iterate_system(
@@ -112,9 +150,9 @@ def iterate_system(
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
     n_coeffs = truncation_order + 1
-    sparse, kind, zero = _sparse_rows(mats, n_coeffs)
-    raw = _kernel.iterate(sparse, dim, n_coeffs, iterations, zero)
-    return TruncatedSeries(_to_scalars(raw, kind), truncation_order)
+    sparse, zero = _sparse_rows(mats, n_coeffs)
+    p = _kernel.iterate(sparse, dim, n_coeffs, iterations, zero)
+    return TruncatedSeries(p, truncation_order)
 
 
 def moments(p: NCPolynomial, max_order: int) -> MomentVector:
@@ -126,7 +164,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         values = tuple(c ** m for m in range(1, max_order + 1))
         return MomentVector(values, 0, 0, p.n_vars, p.degree, p.n_terms)
 
-    # clear denominators so the solve runs on (Gaussian) integers;
+    # clear denominators so the solve runs on integers;
     # tau(q^m) = tau((lam*q)^m) / lam^m undoes the scaling exactly
     lam = math.lcm(
         *(
@@ -135,12 +173,19 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
             for d in (coeff.re.denominator, coeff.im.denominator)
         )
     )
-    rep = build_zq_star(q.scale(lam) if lam != 1 else q)
-    sparse, kind, zero = _sparse_rows(rep.mats, max_order + 1)
-    raw, passes = _kernel.solve(sparse, rep.dim, max_order + 1, zero)
-    series = _to_scalars(raw, kind)
-
-    tau_q = [ONE] + [series[m] / Scalar(lam**m) for m in range(1, max_order + 1)]
+    rows, n_states, block = build_trie_rows(q.scale(lam) if lam != 1 else q)
+    n_coeffs = max_order + 1
+    p_mat, passes = _kernel.solve(rows, block * n_states, n_coeffs, 0)
+    zeros = [0] * n_coeffs
+    final = block * (n_states - 1)
+    re = p_mat.get(0, {}).get(final, zeros)
+    im = p_mat.get(1, {}).get(final, zeros) if block == 2 else zeros
+    if re[0] or im[0]:
+        # every path out of the start state carries at least one factor of z
+        raise AssertionError(
+            "iteration produced a nonzero constant term at entry (start, final)"
+        )
+    tau_q = [ONE] + [Scalar(re[m], im[m]) / Scalar(lam**m) for m in range(1, n_coeffs)]
 
     values = []
     for m in range(1, max_order + 1):
@@ -154,7 +199,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         else:
             values.append(tau_q[m])
     return MomentVector(
-        tuple(values), rep.dim, passes, p.n_vars, p.degree, p.n_terms
+        tuple(values), n_states, passes, p.n_vars, p.degree, p.n_terms
     )
 
 

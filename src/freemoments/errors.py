@@ -22,9 +22,18 @@ class PolyParseError(FreeMomentsError, ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+class UsageError(FreeMomentsError, ValueError):
+    """An invalid command-line value (option or environment variable)."""
+
+
 class InvalidPolynomialError(FreeMomentsError, ValueError):
     """A polynomial does not satisfy a structural precondition."""
 
 
 class CapExceededError(FreeMomentsError, RuntimeError):
-    """A configurable size cap would be exceeded; the request was refused."""
+    """A size cap would be exceeded; the request was refused."""
+
+
+class ParseCapExceededError(CapExceededError):
+    """Polynomial text whose products or powers would expand past the
+    parser's fixed limits; no option raises them."""

@@ -15,7 +15,10 @@ output and test fixtures are deterministic.
     literal:= uint ('/' uint)?  (exact rationals only)
 
 Juxtaposition is not multiplication; write ``3*x1``, not ``3x1``.  Decimal
-literals are rejected so that every coefficient stays exact.
+literals are rejected so that every coefficient stays exact.  The parser
+expands products and powers in full, so it refuses one whose result could
+exceed ``MAX_PARSE_TERMS`` terms or ``MAX_PARSE_DEGREE`` in degree before
+expanding it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-from .errors import PolyParseError, VariableMismatchError
+from .errors import ParseCapExceededError, PolyParseError, VariableMismatchError
 from .scalar import ONE, ZERO, Scalar
 
 Word = Tuple[int, ...]
 
 WORD_UNIT: Word = ()
+
+# fixed limits on what one product or power in polynomial text may expand to
+MAX_PARSE_TERMS = 10**5
+MAX_PARSE_DEGREE = 10**4
 
 
 def word_key(word: Word):
@@ -363,11 +370,23 @@ class _Parser:
             poly = poly - term if op == "-" else poly + term
         return poly
 
+    def _refuse_expansion(self, pos: int):
+        raise ParseCapExceededError(
+            f"expanding the expression at position {pos} could exceed "
+            f"{MAX_PARSE_TERMS} terms or degree {MAX_PARSE_DEGREE}"
+        )
+
     def _term(self) -> NCPolynomial:
         poly = self._factor()
         while self._peek()[0] == "*":
-            self._advance()
-            poly = poly * self._factor()
+            pos = self._advance()[2]
+            factor = self._factor()
+            if (
+                poly.degree + factor.degree > MAX_PARSE_DEGREE
+                or poly.n_terms * factor.n_terms > MAX_PARSE_TERMS
+            ):
+                self._refuse_expansion(pos)
+            poly = poly * factor
         return poly
 
     def _factor(self) -> NCPolynomial:
@@ -379,7 +398,12 @@ class _Parser:
                 raise PolyParseError(
                     "exponent must be a nonnegative integer", self.text, pos
                 )
-            return atom ** int(value)
+            k = int(value)
+            # n^k is evaluated only once the degree fits, which bounds k
+            # whenever n >= 2 (an atom with two terms has degree >= 1)
+            if atom.degree * k > MAX_PARSE_DEGREE or atom.n_terms ** k > MAX_PARSE_TERMS:
+                self._refuse_expansion(pos)
+            return atom ** k
         return atom
 
     def _atom(self) -> NCPolynomial:

@@ -39,7 +39,7 @@ def test_moments_json_schema_golden(capsys):
         "poly": "-3*x1 + x1^3",
         "n_vars": 1,
         "M": 4,
-        "N": 10,
+        "N": 4,
         "iterations": 16,
         "moments": [
             {"m": 1, "re": "0", "im": "0"},
@@ -105,6 +105,32 @@ def test_parse_error_exit_2(capsys):
         capsys, "moments", "--poly", "x3", "--n-vars", "2", "--max-order", "2"
     )
     assert code == 2
+
+
+def test_usage_errors_exit_2(capsys, monkeypatch):
+    for argv in [
+        ("moments", "--poly", "x1", "--n-vars", "0", "--max-order", "2"),
+        ("moments", "--poly", "x1", "--max-order", "0"),
+        ("bench", "--poly", "x1", "--sweep", "2,oops"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error" in err and "position" not in err, argv
+    monkeypatch.setenv("FREEMOMENTS_EXPANSION_CAP", "lots")
+    code, _, err = run(capsys, "verify", "--poly", "x1", "--max-order", "2")
+    assert code == 2
+    assert "FREEMOMENTS_EXPANSION_CAP" in err and "position" not in err
+
+
+def test_parser_blowup_exit_4(capsys):
+    import time
+
+    for poly in ("x1^100000", "(x1+x2)^40"):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "moments", "--poly", poly, "--max-order", "2")
+        assert time.perf_counter() - start < 1.0, poly
+        assert code == 4, poly
+        assert "--expansion-cap" not in err, poly
 
 
 def test_verify_pass(capsys):
@@ -230,14 +256,13 @@ def test_internal_error_exit_3(capsys, monkeypatch):
 
 def test_kernel_invariant_exit_3(capsys, monkeypatch):
     import freemoments.engine as engine_module
-    from freemoments import LinearRepresentation, ZPoly
 
     def cyclic(q):
-        # a z^0 self-loop on state 1 makes the fixed-point solve diverge
-        one, zero = ZPoly((1,)), ZPoly()
-        return LinearRepresentation(1, 2, [[[one, zero], [zero, zero]]])
+        # a z^0 self-loop on the start state makes the fixed-point solve
+        # diverge: one variable, two states, block width 1
+        return [{0: [(0, (1,))]}], 2, 1
 
-    monkeypatch.setattr(engine_module, "build_zq_star", cyclic)
+    monkeypatch.setattr(engine_module, "build_trie_rows", cyclic)
     code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
     assert code == 3
     assert "not nilpotent" in err

@@ -101,11 +101,19 @@ def test_moments_metadata():
     p = parse_polynomial("x1*x2 + x2*x1", 2)
     mv = moments(p, 8)
     assert mv.max_order == 8
-    assert mv.rep_dim == 10
+    assert mv.rep_dim == 4
     assert mv.iterations == 17
     assert mv.n_vars == 2
     assert mv.degree == 2
     assert mv.n_terms == 2
+
+
+def test_moments_metadata_complex():
+    # complex coefficients double the kernel rows, not the reported N:
+    # start, prefixes x1 and x2, final
+    mv = moments(parse_polynomial("i*x1*x2 - i*x2*x1", 2), 6)
+    assert mv.rep_dim == 4
+    assert [str(v) for v in mv.values] == ["0", "2", "0", "10", "0", "66"]
 
 
 def test_moments_rational_scaling():

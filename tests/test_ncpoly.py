@@ -4,6 +4,7 @@ import pytest
 
 from freemoments import (
     NCPolynomial,
+    ParseCapExceededError,
     PolyParseError,
     Scalar,
     VariableMismatchError,
@@ -12,6 +13,8 @@ from freemoments import (
     parse_polynomial,
     split_constant,
 )
+
+from freemoments.ncpoly import MAX_PARSE_DEGREE
 
 import properties
 
@@ -142,6 +145,19 @@ def test_power_and_zero():
     assert p ** 2 == parse_polynomial("x1^2 + 2*x1 + 1", 1)
     assert NCPolynomial.zero(2).degree == 0
     assert NCPolynomial.zero(2).n_terms == 0
+
+
+def test_parse_refuses_blowups_before_expanding():
+    # the refusal comes before any expansion, so these return at once
+    for text, n_vars in [
+        ("x1^100000", 1),
+        (f"x1^{MAX_PARSE_DEGREE + 1}", 1),
+        ("(x1+x2)^40", 2),
+        ("(x1+x2)^9*(x1+x2)^9", 2),  # 512 * 512 terms
+    ]:
+        with pytest.raises(ParseCapExceededError):
+            parse_polynomial(text, n_vars)
+    assert parse_polynomial("(x1+x2)^8", 2).n_terms == 256
 
 
 def test_canonical_term_order_and_str():
