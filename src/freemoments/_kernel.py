@@ -1,23 +1,23 @@
 """Inner loop of the moment engine.
 
 The fixed-point system P = sum_i (mu_i (P + I))^2 is solved here on plain
-Python lists.  Series are length-(M+1) coefficient lists over any ring whose
-zero the caller passes: ``moments`` always hands in ``int`` (denominators
-cleared, complex coefficients written as 2x2 integer blocks), and only the
-reference ``iterate_system`` falls back to ``Scalar`` for rational or
-complex entries.
+Python lists of the length-(M+1) series coefficients.  ``solve`` works over
+``int`` (denominators cleared, complex coefficients written as 2x2 integer
+blocks); ``iterate`` takes the ring's zero, so that the reference
+``iterate_system`` can pass ``Scalar`` entries.
 
 The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
-of z-degree <= 1), so P and A = mu_i (P + I) are stored as dicts of nonzero
-rows, each a dict of nonzero columns.  None of this changes the result: it
-is classical matrix multiplication with zero blocks skipped.
+of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
+nonzero rows, each a dict of nonzero columns.  None of this changes the
+result: it is classical matrix multiplication with zero blocks skipped.
 
-One step function serves two drivers.  ``iterate`` runs it on every order at
-once, ``steps`` times from P = 0: the paper's sweep, kept as the reference.
-``solve`` runs it on one order k at a time.  Coefficient k of P depends on
-P[0..k-1] and on P[k] only through the z^0 part of the mu_i, which is
-nilpotent of index at most N; so repeating the step on order k alone reaches
-a fixed point within N passes, and the pass after that changes nothing.
+``_a_row`` and ``_p_row`` add one order of one row to A_i and to P.
+``iterate`` runs them on every row and order, ``steps`` times from P = 0:
+the paper's sweep, kept as the reference.  ``solve`` runs each once.  Order
+k of P depends on P[0..k-1] and on P[k] only through the z^0 part of the
+mu_i; when that part is strictly upper triangular, row j of order k reads
+only higher rows of order k, so taking the rows from last to first is a
+back-substitution and every value is final when it is written.
 """
 
 from __future__ import annotations
@@ -29,80 +29,76 @@ from typing import Dict, List, Sequence, Tuple
 SparseMats = Sequence[Dict[int, List[Tuple[int, tuple]]]]
 
 
-def _dot(a, b):
-    return sum(map(_mul, a, b))
+def _add(rows: dict, j: int, l: int, k: int, x, n_coeffs: int, zero):
+    rows.setdefault(j, {}).setdefault(l, [zero] * n_coeffs)[k] += x
 
 
-def _step(mats: SparseMats, p: dict, k0: int, k1: int, n_coeffs: int, zero) -> bool:
-    """Recompute orders k0..k1-1 of P <- sum_i (mu_i (P + I))^2 in place.
+def _a_row(mu: dict, a: dict, p: dict, j: int, k: int, n_coeffs: int, zero):
+    """Add order k of row j of A = mu (P + I), read from ``p``, to ``a``."""
+    for t, zp in mu.get(j, ()):
+        if k < len(zp) and zp[k]:  # the I in P + I
+            _add(a, j, t, k, zp[k], n_coeffs, zero)
+        for e, c in enumerate(zp[: k + 1]):
+            if c:
+                for l, src in p.get(t, {}).items():
+                    if src[k - e]:
+                        _add(a, j, l, k, c * src[k - e], n_coeffs, zero)
 
-    A_i is rebuilt on orders 0..k1-1 from P as it stands before the step, so
-    the window updates all at once.  Returns whether any coefficient in the
-    window changed.
-    """
-    new: dict = {}
-    for mu in mats:
-        a: dict = {}
-        for j, entries in mu.items():
-            arow = a[j] = {}
-            for t, zp in entries:
-                for e, c in enumerate(zp[:k1]):
-                    if not c:
-                        continue
-                    cell = arow.setdefault(t, [zero] * k1)
-                    cell[e] = cell[e] + c
-                    for l, src in p.get(t, {}).items():
-                        cell = arow.setdefault(l, [zero] * k1)
-                        cell[e:] = [x + c * y for x, y in zip(cell[e:], src)]
-        for j, arow in a.items():
-            out = new.setdefault(j, {})
-            for t, f in arow.items():
-                for l, g in a.get(t, {}).items():
-                    dst = out.setdefault(l, [zero] * (k1 - k0))
-                    for k in range(k0, k1):
-                        dst[k - k0] = dst[k - k0] + _dot(f[: k + 1], g[k::-1])
-    changed = False
-    for j, out in new.items():
-        row = p.setdefault(j, {})
-        for l, window in out.items():
-            cell = row.setdefault(l, [zero] * n_coeffs)
-            if cell[k0:k1] != window:
-                cell[k0:k1] = window
-                changed = True
-    return changed
+
+def _p_row(a: dict, p: dict, j: int, k: int, n_coeffs: int, zero):
+    """Add order k of row j of A^2 to ``p``."""
+    for t, f in a.get(j, {}).items():
+        head = f[: k + 1]
+        for l, g in a.get(t, {}).items():
+            x = sum(map(_mul, head, g[k::-1]))
+            if x:
+                _add(p, j, l, k, x, n_coeffs, zero)
 
 
 def iterate(
     mats: SparseMats, dim: int, n_coeffs: int, steps: int, zero
 ) -> list:
-    """Run the step on every order ``steps`` times from P = 0; entry (1, N).
+    """Run P <- sum_i (mu_i (P + I))^2 ``steps`` times from P = 0; entry (1, N).
 
     ``mats`` holds the reduced representation matrices with rows of
-    (column, z-coefficient-tuple) pairs; ``n_coeffs`` is M + 1.
+    (column, z-coefficient-tuple) pairs; ``n_coeffs`` is M + 1.  Each step
+    reads only the previous P (a Jacobi sweep).
     """
     p: dict = {}
     for _ in range(steps):
-        _step(mats, p, 0, n_coeffs, n_coeffs, zero)
+        new: dict = {}
+        for mu in mats:
+            a: dict = {}
+            for k in range(n_coeffs):
+                for j in range(dim):
+                    _a_row(mu, a, p, j, k, n_coeffs, zero)
+                for j in range(dim):
+                    _p_row(a, new, j, k, n_coeffs, zero)
+        p = new
     return p.get(0, {}).get(dim - 1, [zero] * n_coeffs)
 
 
-def solve(mats: SparseMats, dim: int, n_coeffs: int, zero) -> Tuple[dict, int]:
-    """Solve for P one order at a time; P as sparse rows and the passes run.
+def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
+    """Solve for P over ``int`` by back-substitution, one order at a time.
 
-    Order k is final once a pass on it alone changes nothing.  An order still
-    changing after N + 1 passes means the z^0 part of the mu_i has a cycle,
-    so the system has no finite solution and ``AssertionError`` is raised.
+    Every z^0 entry (j, t) of the mu_i must have t > j; otherwise
+    ``AssertionError`` is raised before any arithmetic.  Returns P as sparse
+    rows.
     """
+    for mu in mats:
+        for j, entries in mu.items():
+            for t, zp in entries:
+                if t <= j and zp[0]:
+                    raise AssertionError(
+                        f"z^0 entry ({j}, {t}) is on or below the diagonal: "
+                        "the z^0 part of the representation is not nilpotent"
+                    )
     p: dict = {}
-    passes = 0
+    a_s: List[dict] = [{} for _ in mats]
     for k in range(n_coeffs):
-        for _ in range(dim + 1):
-            passes += 1
-            if not _step(mats, p, k, k + 1, n_coeffs, zero):
-                break
-        else:
-            raise AssertionError(
-                f"order {k} still changing after {dim + 1} passes: the z^0 "
-                "part of the representation is not nilpotent"
-            )
-    return p, passes
+        for j in range(dim - 1, -1, -1):
+            for mu, a in zip(mats, a_s):
+                _a_row(mu, a, p, j, k, n_coeffs, 0)
+            for a in a_s:
+                _p_row(a, p, j, k, n_coeffs, 0)
+    return p

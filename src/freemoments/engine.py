@@ -5,7 +5,7 @@ Given a noncommutative polynomial p and a target order M, the engine
 1. splits p = c + q with q constant-free and clears q's denominators, so
    every coefficient is a Gaussian integer;
 2. builds (z*q)* as a weighted automaton on the prefix trie of q's words:
-   a start state, one state per proper nonempty prefix and a final state,
+   one state per proper nonempty prefix, then a final and a start state,
    so N = 2 + #prefixes.  z rides on the edges leaving the start state, the
    term coefficient on the edge into the final state, and every edge into
    the final state is copied into the start state's column (the star);
@@ -13,10 +13,11 @@ Given a noncommutative polynomial p and a target order M, the engine
    realizing the substitution X_i -> 1.  When a coefficient is complex,
    state s becomes rows 2s and 2s+1 and a + b*i the block [[a, -b], [b, a]],
    a ring homomorphism, so the solve stays over ``int``;
-4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order until a
-   pass leaves it unchanged (at most N + 1 passes, else an internal error);
-   the z^m coefficient of entry (start, final) is then tau(q(s)^m) for every
-   m <= M (real part at row 0, imaginary part at row 1 of the blocks);
+4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order in one
+   pass over the rows from last to first: the z^0 part is strictly upper
+   triangular, so this is a back-substitution.  The z^m coefficient of entry
+   (start, final) is then tau(q(s)^m) for every m <= M (the imaginary part
+   one row below the real part);
 5. recovers tau(p(s)^m) by the binomial theorem in c.
 
 ``build_zq_star``, ``reduce_rep`` and ``iterate_system`` are the paper's
@@ -52,7 +53,7 @@ class MomentVector:
     values: Tuple[Scalar, ...]
     rep_dim: int        # N states of the trie automaton (not doubled for
                         # complex inputs), or 0 when p was constant
-    iterations: int     # single-order passes of the fixed-point solve
+    iterations: int     # passes of the solve: M + 1, one per order
     n_vars: int
     degree: int
     n_terms: int
@@ -110,22 +111,24 @@ def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
     q must be constant-free, nonzero and have Gaussian-integer coefficients.
     Returns the per-variable rows (row -> [(col, z-coefficient tuple)]), the
     state count N, and the block width: 1, or 2 when some coefficient is
-    complex and every state s spans rows 2s, 2s+1.  State 0 is the start
-    state and N - 1 the final state.
+    complex and every state s spans rows 2s, 2s+1.  Prefix states come
+    first, parents before children, then the final state N - 2 and the
+    start state N - 1, so every z^0 edge goes to a higher state.
     """
     terms = list(q.terms())
     block = 2 if any(c.im for _, c in terms) else 1
-    states = {(): 0}  # prefix -> state; the empty prefix is the start state
+    states = {}  # proper nonempty prefix -> state, in creation order
     for word, _ in terms:
         for j in range(1, len(word)):
             states.setdefault(word[:j], len(states))
     final = len(states)
+    start = states[()] = final + 1
     edges = {}  # (letter, src, dst) -> coefficient
     for word, c in terms:
         for j in range(1, len(word)):
             edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = ONE
         src = states[word[:-1]]
-        edges[word[-1], src, final] = edges[word[-1], src, 0] = c
+        edges[word[-1], src, final] = edges[word[-1], src, start] = c
     rows: List[dict] = [{} for _ in range(q.n_vars)]
     for (letter, src, dst), c in edges.items():
         re, im = c.re.numerator, c.im.numerator
@@ -135,8 +138,8 @@ def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
             for dc, x in enumerate(parts):
                 if x:
                     # every edge leaving the start state carries one z
-                    row.append((block * dst + dc, (0, x) if src == 0 else (x,)))
-    return rows, final + 1, block
+                    row.append((block * dst + dc, (0, x) if src == start else (x,)))
+    return rows, start + 1, block
 
 
 def iterate_system(
@@ -175,11 +178,11 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     )
     rows, n_states, block = build_trie_rows(q.scale(lam) if lam != 1 else q)
     n_coeffs = max_order + 1
-    p_mat, passes = _kernel.solve(rows, block * n_states, n_coeffs, 0)
+    p_mat = _kernel.solve(rows, block * n_states, n_coeffs)
     zeros = [0] * n_coeffs
-    final = block * (n_states - 1)
-    re = p_mat.get(0, {}).get(final, zeros)
-    im = p_mat.get(1, {}).get(final, zeros) if block == 2 else zeros
+    start, final = block * (n_states - 1), block * (n_states - 2)
+    re = p_mat.get(start, {}).get(final, zeros)
+    im = p_mat.get(start + 1, {}).get(final, zeros) if block == 2 else zeros
     if re[0] or im[0]:
         # every path out of the start state carries at least one factor of z
         raise AssertionError(
@@ -199,7 +202,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         else:
             values.append(tau_q[m])
     return MomentVector(
-        tuple(values), n_states, passes, p.n_vars, p.degree, p.n_terms
+        tuple(values), n_states, n_coeffs, p.n_vars, p.degree, p.n_terms
     )
 
 

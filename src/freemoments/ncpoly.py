@@ -17,8 +17,8 @@ output and test fixtures are deterministic.
 Juxtaposition is not multiplication; write ``3*x1``, not ``3x1``.  Decimal
 literals are rejected so that every coefficient stays exact.  The parser
 expands products and powers in full, so it refuses one whose result could
-exceed ``MAX_PARSE_TERMS`` terms or ``MAX_PARSE_DEGREE`` in degree before
-expanding it.
+exceed ``MAX_PARSE_TERMS`` terms, ``MAX_PARSE_DEGREE`` in degree or
+``MAX_PARSE_BITS`` in coefficient bit length before expanding it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ WORD_UNIT: Word = ()
 # fixed limits on what one product or power in polynomial text may expand to
 MAX_PARSE_TERMS = 10**5
 MAX_PARSE_DEGREE = 10**4
+MAX_PARSE_BITS = 10**5
 
 
 def word_key(word: Word):
@@ -181,9 +182,17 @@ class NCPolynomial:
     def __pow__(self, exponent: int) -> "NCPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = NCPolynomial.constant(self.n_vars, ONE)
-        for _ in range(exponent):
-            result = result * self
+        if exponent == 0:
+            return NCPolynomial.constant(self.n_vars, ONE)
+        # square and multiply; the factors are powers of self, so they commute
+        result = None
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def adjoint(self) -> "NCPolynomial":
@@ -335,6 +344,19 @@ def _tokenize(text: str):
     return tokens
 
 
+def _bits(poly: NCPolynomial) -> int:
+    """Largest bit length of a coefficient's numerator or denominator."""
+    return max(
+        (
+            x.bit_length()
+            for c in poly._terms.values()
+            for part in (c.re, c.im)
+            for x in (part.numerator, part.denominator)
+        ),
+        default=0,
+    )
+
+
 class _Parser:
     def __init__(self, text: str, n_vars: int):
         self.text = text
@@ -373,7 +395,8 @@ class _Parser:
     def _refuse_expansion(self, pos: int):
         raise ParseCapExceededError(
             f"expanding the expression at position {pos} could exceed "
-            f"{MAX_PARSE_TERMS} terms or degree {MAX_PARSE_DEGREE}"
+            f"{MAX_PARSE_TERMS} terms, degree {MAX_PARSE_DEGREE} or "
+            f"{MAX_PARSE_BITS}-bit coefficients"
         )
 
     def _term(self) -> NCPolynomial:
@@ -384,6 +407,7 @@ class _Parser:
             if (
                 poly.degree + factor.degree > MAX_PARSE_DEGREE
                 or poly.n_terms * factor.n_terms > MAX_PARSE_TERMS
+                or _bits(poly) + _bits(factor) > MAX_PARSE_BITS
             ):
                 self._refuse_expansion(pos)
             poly = poly * factor
@@ -399,9 +423,13 @@ class _Parser:
                     "exponent must be a nonnegative integer", self.text, pos
                 )
             k = int(value)
-            # n^k is evaluated only once the degree fits, which bounds k
-            # whenever n >= 2 (an atom with two terms has degree >= 1)
-            if atom.degree * k > MAX_PARSE_DEGREE or atom.n_terms ** k > MAX_PARSE_TERMS:
+            # n^k is evaluated only once the degree and the bit length fit,
+            # which bounds k (a coefficient has at least one bit)
+            if (
+                atom.degree * k > MAX_PARSE_DEGREE
+                or _bits(atom) * k > MAX_PARSE_BITS
+                or atom.n_terms ** k > MAX_PARSE_TERMS
+            ):
                 self._refuse_expansion(pos)
             return atom ** k
         return atom

@@ -40,7 +40,7 @@ def test_moments_json_schema_golden(capsys):
         "n_vars": 1,
         "M": 4,
         "N": 4,
-        "iterations": 16,
+        "iterations": 5,
         "moments": [
             {"m": 1, "re": "0", "im": "0"},
             {"m": 2, "re": "2", "im": "0"},

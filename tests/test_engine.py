@@ -9,6 +9,7 @@ from freemoments import (
     ZPoly,
     brute_moment,
     build_zq_star,
+    catalan,
     free_cumulants,
     moments,
     parse_polynomial,
@@ -102,7 +103,7 @@ def test_moments_metadata():
     mv = moments(p, 8)
     assert mv.max_order == 8
     assert mv.rep_dim == 4
-    assert mv.iterations == 17
+    assert mv.iterations == 9
     assert mv.n_vars == 2
     assert mv.degree == 2
     assert mv.n_terms == 2
@@ -136,11 +137,11 @@ def test_moment_value_rejects_order_below_one():
 
 
 def test_solve_rejects_z0_cycle():
-    # a z^0 self-loop on state 0: order 0 runs 0, 1, 4, 25, ... and never
-    # settles, so the pass guard must stop it
-    mats = [{0: [(0, (1,))]}]
-    with pytest.raises(AssertionError, match="not nilpotent"):
-        _kernel.solve(mats, 2, 3, 0)
+    # a z^0 self-loop, and a z^0 cycle through two states: neither z^0 part
+    # is strictly upper triangular, so the solve refuses both up front
+    for mats in ([{0: [(0, (1,))]}], [{0: [(1, (1,))], 1: [(0, (1,))]}]):
+        with pytest.raises(AssertionError, match="not nilpotent"):
+            _kernel.solve(mats, 2, 3)
 
 
 def test_moments_matches_oracle_smoke():
@@ -154,6 +155,20 @@ def test_moments_matches_oracle_smoke():
         p = parse_polynomial(text, n_vars)
         mv = moments(p, 6)
         for m in range(1, 7):
+            assert mv.value(m) == brute_moment(p, m), (text, m)
+
+
+def test_high_degree_inputs():
+    # long words give long z^0 chains of prefix states in the trie
+    assert moments(parse_polynomial("x1^80", 1), 1).value(1) == Scalar(catalan(40))
+    assert moments(parse_polynomial("x1^40", 1), 2).value(2) == Scalar(catalan(40))
+    for text, n_vars, max_order in [
+        ("(x1+x2)^6", 2, 2),
+        ("i*x1^7 - i*x2^7 + 1/2*x1*x2", 2, 3),
+    ]:
+        p = parse_polynomial(text, n_vars)
+        mv = moments(p, max_order)
+        for m in range(1, max_order + 1):
             assert mv.value(m) == brute_moment(p, m), (text, m)
 
 

@@ -154,10 +154,13 @@ def test_parse_refuses_blowups_before_expanding():
         (f"x1^{MAX_PARSE_DEGREE + 1}", 1),
         ("(x1+x2)^40", 2),
         ("(x1+x2)^9*(x1+x2)^9", 2),  # 512 * 512 terms
+        ("2^100000", 1),
+        ("(2^10000)^10000", 1),
     ]:
         with pytest.raises(ParseCapExceededError):
             parse_polynomial(text, n_vars)
     assert parse_polynomial("(x1+x2)^8", 2).n_terms == 256
+    assert parse_polynomial("x1^10000", 1).degree == 10000
 
 
 def test_canonical_term_order_and_str():
