@@ -26,7 +26,13 @@ from typing import List, Optional
 from .engine import complexity_probe, moments
 from .errors import CapExceededError, ParseCapExceededError, PolyParseError, UsageError
 from .ncpoly import NCPolynomial, infer_variable_count, parse_polynomial
-from .oracle import CUMULANT_CAP, DEFAULT_EXPANSION_CAP, brute_moment, free_cumulants
+from .oracle import (
+    CUMULANT_CAP,
+    DEFAULT_EXPANSION_CAP,
+    brute_moment,
+    check_expansion_cap,
+    free_cumulants,
+)
 from .scalar import Scalar
 
 EXIT_OK = 0
@@ -159,7 +165,6 @@ def _cmd_moments(args, out) -> int:
             "n_vars": poly.n_vars,
             "M": mv.max_order,
             "N": mv.rep_dim,
-            "iterations": mv.iterations,
             "moments": rows,
             "warnings": warnings,
         }
@@ -181,7 +186,7 @@ def _cmd_moments(args, out) -> int:
     print(f"poly: {poly}", file=out)
     print(
         f"n_vars: {poly.n_vars}  M: {mv.max_order}  N: {mv.rep_dim}  "
-        f"iterations: {mv.iterations}  deg: {mv.degree}  terms: {mv.n_terms}",
+        f"deg: {mv.degree}  terms: {mv.n_terms}",
         file=out,
     )
     for warning in warnings:
@@ -208,6 +213,8 @@ def _cmd_verify(args, out) -> int:
     if args.max_order < 1:
         raise UsageError("--max-order must be at least 1")
     cap = _expansion_cap(args)
+    # (m_p)^m grows with m: refuse an M past the cap before running the engine
+    check_expansion_cap(poly, args.max_order, cap)
     mv = moments(poly, args.max_order)
     mismatches = []
     for m in range(1, args.max_order + 1):

@@ -53,7 +53,6 @@ class MomentVector:
     values: Tuple[Scalar, ...]
     rep_dim: int        # N states of the trie automaton (not doubled for
                         # complex inputs), or 0 when p was constant
-    iterations: int     # passes of the solve: M + 1, one per order
     n_vars: int
     degree: int
     n_terms: int
@@ -64,7 +63,7 @@ class MomentVector:
 
     def value(self, m: int) -> Scalar:
         """tau(p(s)^m) for 1 <= m <= M."""
-        if m < 1:
+        if not 1 <= m <= self.max_order:
             raise IndexError(f"moment order {m} outside 1..{self.max_order}")
         return self.values[m - 1]
 
@@ -165,7 +164,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     c, q = split_constant(p)
     if q.is_zero():
         values = tuple(c ** m for m in range(1, max_order + 1))
-        return MomentVector(values, 0, 0, p.n_vars, p.degree, p.n_terms)
+        return MomentVector(values, 0, p.n_vars, p.degree, p.n_terms)
 
     # clear denominators so the solve runs on integers;
     # tau(q^m) = tau((lam*q)^m) / lam^m undoes the scaling exactly
@@ -201,9 +200,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
             values.append(acc)
         else:
             values.append(tau_q[m])
-    return MomentVector(
-        tuple(values), n_states, n_coeffs, p.n_vars, p.degree, p.n_terms
-    )
+    return MomentVector(tuple(values), n_states, p.n_vars, p.degree, p.n_terms)
 
 
 # -- benchmark probe ------------------------------------------------------------

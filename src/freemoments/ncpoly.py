@@ -24,7 +24,7 @@ exceed ``MAX_PARSE_TERMS`` terms, ``MAX_PARSE_DEGREE`` in degree or
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import ParseCapExceededError, PolyParseError, VariableMismatchError
 from .scalar import ONE, ZERO, Scalar
@@ -101,6 +101,11 @@ class NCPolynomial:
         """Terms in canonical length-lexicographic order."""
         for word in sorted(self._terms, key=word_key):
             yield word, self._terms[word]
+
+    def unordered_terms(self) -> Iterable[Tuple[Word, Scalar]]:
+        """Terms in storage order, without the sort of ``terms()``; for
+        results that do not depend on the order, such as exact sums."""
+        return self._terms.items()
 
     def coefficient(self, word: Word) -> Scalar:
         return self._terms.get(tuple(word), ZERO)

@@ -109,6 +109,28 @@ def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
     return Scalar(_consistent_pairing_count(word))
 
 
+def check_expansion_cap(
+    p: NCPolynomial, m: int, expansion_cap: int = DEFAULT_EXPANSION_CAP
+) -> None:
+    """Refuse an order m whose expansion of p^m exceeds ``expansion_cap``.
+
+    Raises ``CapExceededError`` when (m_p)^m > ``expansion_cap``; the zero
+    polynomial and m <= 0 are never refused.  With two or more terms,
+    (m_p)^m >= 2^m already exceeds the cap once m passes the cap's bit
+    length, so a huge m is refused without building (m_p)^m.
+    """
+    n_terms = p.n_terms
+    if m <= 0 or n_terms == 0:
+        return
+    if (
+        n_terms >= 2 and m > expansion_cap.bit_length()
+    ) or n_terms ** m > expansion_cap:
+        raise CapExceededError(
+            f"naive expansion needs {n_terms}^{m} monomials, over the cap "
+            f"of {expansion_cap}"
+        )
+
+
 def brute_moment(
     p: NCPolynomial, m: int, expansion_cap: int = DEFAULT_EXPANSION_CAP
 ) -> Scalar:
@@ -116,7 +138,7 @@ def brute_moment(
 
     Expands to up to (m_p)^m monomials; this is the exponential blow-up the
     engine avoids.  Requests whose raw expansion exceeds ``expansion_cap``
-    are refused.
+    are refused (``check_expansion_cap``).
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
@@ -124,15 +146,12 @@ def brute_moment(
         return ONE
     if p.is_zero():
         return ZERO
-    if p.n_terms ** m > expansion_cap:
-        raise CapExceededError(
-            f"naive expansion needs {p.n_terms}^{m} monomials, over the cap "
-            f"of {expansion_cap}"
-        )
+    check_expansion_cap(p, m, expansion_cap)
     power = p ** m
     max_len = max(WORD_MOMENT_CAP, p.degree * m)
     total = ZERO
-    for word, coeff in power.terms():
+    # an exact sum does not depend on the order of its terms
+    for word, coeff in power.unordered_terms():
         value = word_moment(word, max_length=max_len)
         if value:
             total = total + coeff * value

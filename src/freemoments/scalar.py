@@ -5,6 +5,12 @@ number ``re + im*i`` whose real and imaginary parts are arbitrary-precision
 rationals (``fractions.Fraction``).  All arithmetic is exact, so results can
 be compared with ``==`` instead of tolerances.  Floating-point values are
 rejected everywhere.
+
+The public constructor ``Scalar(re, im)`` validates and converts its
+arguments.  Arithmetic results are built by ``_make`` from parts that are
+already ``Fraction``s (a ``Fraction`` combined with a ``Fraction`` or an
+``int`` is again a ``Fraction``), so they skip that check; operands of any
+other type go through ``_coerce`` first, which refuses floats.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ class Scalar:
         return self.re.denominator == 1 and self.im.denominator == 1
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- ring operations ----------------------------------------------------
 
@@ -79,18 +85,22 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b, d = self.im, other.im
+        return _make(self.re + other.re, b + d if d else b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b, d = self.im, other.im
+        return _make(self.re - other.re, b - d if d else b)
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
@@ -99,30 +109,37 @@ class Scalar:
         return other - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            if other.__class__ is int:
+                return _make(self.re * other, self.im * other)
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # a zero imaginary part drops its products; b or d is then that zero
+        if not b:
+            return _make(a * c, a * d if d else b)
+        if not d:
+            return _make(a * c, b * c)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            return _make(a / c, b / c if b else d)
+        norm = c * c + d * d
+        return _make((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -146,16 +163,17 @@ class Scalar:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     # -- encoding -------------------------------------------------------------
 
@@ -205,6 +223,19 @@ class Scalar:
         if self.im == 0:
             return float(self.re)
         return complex(float(self.re), float(self.im))
+
+
+_new = object.__new__
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from two parts that are already ``Fraction``s, unchecked."""
+    s = _new(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
 
 
 ZERO = Scalar(0)

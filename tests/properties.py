@@ -7,7 +7,9 @@ asserts exact equality throughout (no tolerances anywhere).
 from __future__ import annotations
 
 import math
+import operator
 import random
+from fractions import Fraction
 
 from freemoments import (
     NCPolynomial,
@@ -64,6 +66,108 @@ def check_scalar_string_roundtrip(cases=200, seed=102):
     for _ in range(cases):
         s = random_scalar(rng, allow_imag=True, allow_frac=True)
         assert Scalar.from_string(str(s)) == s
+
+
+def _random_part(rng):
+    bound = 10**6 if rng.random() < 0.2 else 9
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _random_gaussian(rng):
+    """Parts of a Gaussian rational: real-only, pure imaginary, zero or general."""
+    kind = rng.choice(("real", "imag", "zero", "general"))
+    zero = Fraction(0)
+    if kind == "real":
+        return _random_part(rng), zero
+    if kind == "imag":
+        return zero, _random_part(rng) or Fraction(1)
+    if kind == "zero":
+        return zero, zero
+    return _random_part(rng), _random_part(rng)
+
+
+def _random_plain(rng):
+    """An int, bool or Fraction operand."""
+    kind = rng.choice(("int", "bool", "fraction"))
+    if kind == "int":
+        return rng.choice((0, 1, -1, rng.randint(-10**6, 10**6)))
+    if kind == "bool":
+        return rng.random() < 0.5
+    return _random_part(rng)
+
+
+_BINARY = {
+    "+": (operator.add, lambda a, b, c, d: (a + c, b + d)),
+    "-": (operator.sub, lambda a, b, c, d: (a - c, b - d)),
+    "*": (operator.mul, lambda a, b, c, d: (a * c - b * d, a * d + b * c)),
+    "/": (
+        operator.truediv,
+        lambda a, b, c, d: (
+            (a * c + b * d) / (c * c + d * d),
+            (b * c - a * d) / (c * c + d * d),
+        ),
+    ),
+}
+
+
+def _assert_result(got, want_parts, what):
+    want = Scalar(*want_parts)
+    assert type(got) is Scalar, what
+    assert type(got.re) is Fraction and type(got.im) is Fraction, what
+    assert got.re == want.re and got.im == want.im, what
+    assert got == want and hash(got) == hash(want), what
+    assert bool(got) == bool(want.re or want.im), what
+
+
+def check_scalar_operators(cases=300, seed=118):
+    """Every operator against the schoolbook formula, built through Scalar().
+
+    Operands are Gaussian rationals of every shape, and int, bool and
+    Fraction values on either side; a float on either side raises TypeError.
+    """
+    rng = random.Random(seed)
+    for _ in range(cases):
+        x_parts = _random_gaussian(rng)
+        x = Scalar(*x_parts)
+        y_parts = _random_gaussian(rng)
+        plain = _random_plain(rng)
+        operands = [(Scalar(*y_parts), y_parts), (plain, (Fraction(plain), Fraction(0)))]
+        for y, (c, d) in operands:
+            for name, (op, formula) in _BINARY.items():
+                for left, right, parts in (
+                    (x, y, x_parts + (c, d)),
+                    (y, x, (c, d) + x_parts),
+                ):
+                    what = (name, left, right)
+                    divisor = parts[2:]
+                    if name == "/" and not any(divisor):
+                        try:
+                            op(left, right)
+                        except ZeroDivisionError:
+                            continue
+                        raise AssertionError(f"no ZeroDivisionError for {what}")
+                    _assert_result(op(left, right), formula(*parts), what)
+            assert (x == y) == (x_parts == (c, d)), (x, y)
+            assert (y == x) == (x_parts == (c, d)), (y, x)
+        a, b = x_parts
+        _assert_result(-x, (-a, -b), ("neg", x))
+        _assert_result(x.conjugate(), (a, -b), ("conjugate", x))
+        result = x * Scalar(*_random_gaussian(rng))
+        for name in ("re", "im"):
+            try:
+                setattr(result, name, Fraction(1))
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("Scalar result is mutable")
+        flt = rng.choice((0.5, -2.0, 0.0))
+        for name, (op, _) in _BINARY.items():
+            for left, right in ((x, flt), (flt, x)):
+                try:
+                    op(left, right)
+                except TypeError:
+                    continue
+                raise AssertionError(f"float accepted by {name}: {left!r}, {right!r}")
 
 
 def check_series_ring_laws(cases=200, seed=103):

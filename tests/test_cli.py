@@ -40,7 +40,6 @@ def test_moments_json_schema_golden(capsys):
         "n_vars": 1,
         "M": 4,
         "N": 4,
-        "iterations": 5,
         "moments": [
             {"m": 1, "re": "0", "im": "0"},
             {"m": 2, "re": "2", "im": "0"},
@@ -133,6 +132,18 @@ def test_parser_blowup_exit_4(capsys):
         assert "--expansion-cap" not in err, poly
 
 
+def test_verify_refuses_order_past_cap_before_engine(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "verify", "--poly", "x1 + x2", "--max-order", "100000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert "naive expansion needs 2^100000 monomials" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(
         capsys, "verify", "--poly", "x1*x2 + x2*x1", "--max-order", "6"
@@ -165,8 +176,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         values = list(mv.values)
         values[2] = values[2] + Scalar(1)  # corrupt m = 3
         return MomentVector(
-            tuple(values), mv.rep_dim, mv.iterations, mv.n_vars, mv.degree,
-            mv.n_terms,
+            tuple(values), mv.rep_dim, mv.n_vars, mv.degree, mv.n_terms
         )
 
     monkeypatch.setattr(cli_module, "moments", faulty)

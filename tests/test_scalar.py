@@ -79,3 +79,7 @@ def test_exactness_suite():
 
 def test_string_roundtrip_suite():
     properties.check_scalar_string_roundtrip()
+
+
+def test_operator_suite():
+    properties.check_scalar_operators()
