@@ -70,6 +70,11 @@ class NCPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("NCPolynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; the default slot
+        # restore would go through the refusing __setattr__
+        return (NCPolynomial, (self.n_vars, self._terms))
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod

@@ -6,7 +6,9 @@ deliberately exponential:
 * moments of a single word come from counting non-crossing pairings whose
   paired positions carry equal letters (mixed free cumulants vanish and the
   only nonzero semicircular cumulant is kappa_2 = 1);
-* moments of a polynomial expand p^m term by term;
+* moments of a polynomial expand (lam*p)^m term by term over integer
+  coefficients, with lam the least common multiple of the denominators of
+  p's coefficients, and divide the pairing-weighted sum by lam^m once;
 * the moment <-> free-cumulant conversion sums over non-crossing partitions
   via the first-block recursion;
 * a second oracle iterates the one-equation algebraic system
@@ -17,6 +19,7 @@ deliberately exponential:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -139,6 +142,13 @@ def brute_moment(
     Expands to up to (m_p)^m monomials; this is the exponential blow-up the
     engine avoids.  Requests whose raw expansion exceeds ``expansion_cap``
     are refused (``check_expansion_cap``).
+
+    The expansion runs on integers only.  With lam the least common multiple
+    of the denominators of p's coefficients, (lam*p)^m is expanded by square
+    and multiply over a map from word to ``int``, or to an ``(re, im)`` pair
+    of ``int``s when a coefficient is not real.  The pairing counts of its
+    even-length words weight an integer sum, which is divided by lam^m once
+    at the end.
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
@@ -147,15 +157,82 @@ def brute_moment(
     if p.is_zero():
         return ZERO
     check_expansion_cap(p, m, expansion_cap)
-    power = p ** m
     max_len = max(WORD_MOMENT_CAP, p.degree * m)
-    total = ZERO
-    # an exact sum does not depend on the order of its terms
-    for word, coeff in power.unordered_terms():
-        value = word_moment(word, max_length=max_len)
-        if value:
-            total = total + coeff * value
-    return total
+    terms = p.unordered_terms()
+    lam = math.lcm(
+        *(part.denominator for _, c in terms for part in (c.re, c.im))
+    )
+    gaussian = any(c.im for _, c in terms)
+    if gaussian:
+        mul = _mul_gaussian
+        base = {w: (int(c.re * lam), int(c.im * lam)) for w, c in terms}
+    else:
+        mul = _mul_int
+        base = {w: int(c.re * lam) for w, c in terms}
+    # square and multiply; the factors are powers of lam*p, so they commute
+    power = None
+    n = m
+    while n:
+        if n & 1:
+            power = base if power is None else mul(power, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    if gaussian:
+        re = im = 0
+        for k, (c_re, c_im) in _counted_words(power, max_len):
+            re += k * c_re
+            im += k * c_im
+    else:
+        re = sum(k * c for k, c in _counted_words(power, max_len))
+        im = 0
+    den = lam ** m
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
+def _counted_words(power: Dict[Word, object], max_len: int):
+    """(pairing count, coefficient) for each even-length word of ``power``.
+
+    The pairing count is tau(w) itself: the recursion returns 0 for a word
+    with a letter of odd multiplicity, so no letter scan runs first.
+    """
+    count = _consistent_pairing_count
+    for word, c in power.items():
+        length = len(word)
+        if length & 1:
+            continue
+        if length > max_len:
+            raise CapExceededError(
+                f"word of length {length} exceeds cap {max_len}"
+            )
+        yield count(word), c
+
+
+def _mul_int(a: Dict[Word, int], b: Dict[Word, int]) -> Dict[Word, int]:
+    """Product of two integer polynomials as word -> int maps."""
+    out: Dict[Word, int] = {}
+    get = out.get
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            out[w] = get(w, 0) + ca * cb
+    return out
+
+
+def _mul_gaussian(
+    a: Dict[Word, Tuple[int, int]], b: Dict[Word, Tuple[int, int]]
+) -> Dict[Word, Tuple[int, int]]:
+    """Product of two Gaussian-integer polynomials, coefficients (re, im)."""
+    out: Dict[Word, Tuple[int, int]] = {}
+    get = out.get
+    for wa, (ar, ai) in a.items():
+        for wb, (br, bi) in b.items():
+            w = wa + wb
+            prev = get(w)
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            out[w] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return out
 
 
 # -- moment <-> free cumulant conversion ------------------------------------------

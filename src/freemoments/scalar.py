@@ -47,6 +47,11 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; the default slot
+        # restore would go through the refusing __setattr__
+        return (Scalar, (self.re, self.im))
+
     # -- normal-form accessors matching the documented invariants ----------
 
     @property

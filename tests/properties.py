@@ -309,6 +309,65 @@ def check_word_moment_traciality(cases=200, seed=111):
             assert word_moment(rotated) == base, (word, r)
 
 
+def random_oracle_poly(rng):
+    """1-3 variables, degree <= 4, rational and Gaussian-rational coefficients.
+
+    About one in ten is constant-only and four in ten of the rest have a
+    constant term; a coefficient part has a numerator and denominator up to
+    10^6 about one time in five.  Coefficients are real, pure imaginary or
+    general, never zero.
+    """
+    n_vars = rng.randint(1, 3)
+    if rng.random() < 0.1:
+        words = [()]
+    else:
+        words = [random_word(rng, n_vars, 1, 4) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            words.append(())
+    terms = {}
+    for word in words:
+        coeff = Scalar(0)
+        while not coeff:
+            coeff = Scalar(*_random_gaussian(rng))
+        terms[word] = coeff
+    return NCPolynomial(n_vars, terms)
+
+
+def check_brute_against_expansion(cases=220, seed=119, max_order=6, cap=10**4):
+    """brute_moment against sum(coeff * word_moment(w)) over the terms of p^m.
+
+    The reference expands p^m in NCPolynomial/Scalar arithmetic and reads
+    each word's moment through ``word_moment``, so it shares neither the
+    integer expansion nor the single division by lam^m with the oracle.
+    """
+    rng = random.Random(seed)
+    seen = {"complex": 0, "constant_only": 0, "with_constant": 0, "big": 0}
+    for _ in range(cases):
+        p = random_oracle_poly(rng)
+        coeffs = [c for _, c in p.terms()]
+        seen["complex"] += any(c.im for c in coeffs)
+        seen["constant_only"] += p.degree == 0 and not p.is_zero()
+        seen["with_constant"] += p.degree > 0 and bool(p.coefficient(()))
+        seen["big"] += any(
+            part.denominator > 9 for c in coeffs for part in (c.re, c.im)
+        )
+        for m in range(max_order + 1):
+            if p.n_terms ** m > cap:
+                break
+            max_len = max(16, p.degree * m)
+            expected = sum(
+                (
+                    coeff * word_moment(word, max_length=max_len)
+                    for word, coeff in (p ** m).unordered_terms()
+                ),
+                Scalar(0),
+            )
+            got = brute_moment(p, m)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+            assert got.re == expected.re and got.im == expected.im, (str(p), m)
+    assert min(seen.values()) >= 10, seen
+
+
 # -- engine ---------------------------------------------------------------------------
 
 # the acceptance corpus: n in {1,2,3}, deg <= 3, m_p <= 4

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -113,6 +115,13 @@ def test_moments_metadata_complex():
     mv = moments(parse_polynomial("i*x1*x2 - i*x2*x1", 2), 6)
     assert mv.rep_dim == 4
     assert [str(v) for v in mv.values] == ["0", "2", "0", "10", "0", "66"]
+
+
+def test_moment_vector_deepcopy_and_pickle():
+    mv = moments(parse_polynomial("i*x1*x2 - 1/2*x2*x1 + 1", 2), 4)
+    for clone in (copy.deepcopy(mv), pickle.loads(pickle.dumps(mv))):
+        assert clone == mv
+        assert [str(v) for v in clone.values] == [str(v) for v in mv.values]
 
 
 def test_moments_rational_scaling():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -188,3 +190,20 @@ def test_parser_roundtrip_suite():
 
 def test_multiply_assoc_degree_suite():
     properties.check_multiply_assoc_degree()
+
+
+def test_copy_and_pickle_roundtrip():
+    p = parse_polynomial("1/2*x1*x2 - i*x2^2 + 3", 3)
+    clones = [copy.copy(p), copy.deepcopy(p)] + [
+        pickle.loads(pickle.dumps(p, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert type(clone) is NCPolynomial
+        assert clone == p and clone.n_vars == 3
+        assert str(clone) == str(p)
+        with pytest.raises(AttributeError, match="immutable"):
+            clone.n_vars = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        p._terms = {}
+    assert NCPolynomial.zero(2) == copy.deepcopy(NCPolynomial.zero(2))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from freemoments import (
@@ -84,6 +86,29 @@ def test_brute_moment_examples():
     assert brute_moment(NCPolynomial.zero(1), 5) == Scalar(0)
 
 
+def test_brute_moment_closed_forms():
+    # x1 + x2 = sqrt(2)*s: tau((x1+x2)^(2k)) = 2^k * Catalan(k)
+    x = parse_polynomial("x1 + x2", 2)
+    for k in range(1, 7):
+        assert brute_moment(x, 2 * k) == Scalar(2**k * catalan(k)), k
+        assert brute_moment(x, 2 * k - 1) == Scalar(0), k
+    # the denominator 3 is cleared once per factor: divided by 3^(2k)
+    third = parse_polynomial("1/3*x1", 1)
+    # i^(2k) = (-1)^k
+    imag = parse_polynomial("i*x1", 1)
+    for k in range(9):
+        assert brute_moment(third, 2 * k) == Scalar(Fraction(catalan(k), 9**k)), k
+        assert brute_moment(imag, 2 * k) == Scalar((-1) ** k * catalan(k)), k
+        assert brute_moment(third, 2 * k + 1) == Scalar(0), k
+        assert brute_moment(imag, 2 * k + 1) == Scalar(0), k
+    for text, c in (("3/2", Scalar(Fraction(3, 2))), ("2 + i", Scalar(2, 1))):
+        constant = parse_polynomial(text, 1)
+        for m in range(9):
+            value = brute_moment(constant, m)
+            assert value == c**m, (text, m)
+            assert type(value.re) is Fraction and type(value.im) is Fraction
+
+
 def test_brute_moment_cap_is_the_blowup():
     p = parse_polynomial("x1*x2 + x2*x1", 2)
     with pytest.raises(CapExceededError):
@@ -151,3 +176,8 @@ def test_cumulant_roundtrip_suite():
 
 def test_traciality_suite():
     properties.check_word_moment_traciality()
+
+
+
+def test_brute_against_expansion_suite():
+    properties.check_brute_against_expansion()

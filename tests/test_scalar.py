@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,32 @@ def test_from_string_examples():
         Scalar.from_string("1.5")
     with pytest.raises(ValueError):
         Scalar.from_string("x1")
+
+
+def _clones(value):
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+
+
+def test_copy_and_pickle_roundtrip():
+    values = [
+        Scalar(0),
+        Scalar(Fraction(-3, 7)),
+        Scalar(Fraction(1, 2), -5),
+        Scalar(0, 10**30),
+    ]
+    for s in values:
+        for clone in _clones(s):
+            assert type(clone) is Scalar
+            assert type(clone.re) is Fraction and type(clone.im) is Fraction
+            assert clone == s and hash(clone) == hash(s)
+            assert str(clone) == str(s)
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.re = Fraction(1)
+    with pytest.raises(AttributeError, match="immutable"):
+        values[2].im = Fraction(0)
 
 
 def test_exactness_suite():
