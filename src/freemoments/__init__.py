@@ -19,7 +19,6 @@ from .errors import (
     CapExceededError,
     FreeMomentsError,
     InvalidPolynomialError,
-    OrderMismatchError,
     ParseCapExceededError,
     PolyParseError,
     UsageError,
@@ -53,7 +52,7 @@ from .oracle import (
     word_moment,
 )
 from .scalar import Scalar
-from .series import TruncatedSeries, ZPoly, series_add, series_mul
+from .series import ZPoly
 
 __version__ = "0.1.0"
 
@@ -66,11 +65,9 @@ __all__ = [
     "LinearRepresentation",
     "MomentVector",
     "NCPolynomial",
-    "OrderMismatchError",
     "ParseCapExceededError",
     "PolyParseError",
     "Scalar",
-    "TruncatedSeries",
     "UsageError",
     "VariableMismatchError",
     "Word",
@@ -95,8 +92,6 @@ __all__ = [
     "rep_product",
     "rep_star",
     "rep_variable",
-    "series_add",
-    "series_mul",
     "split_constant",
     "word_moment",
 ]

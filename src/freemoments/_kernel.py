@@ -3,8 +3,9 @@
 The fixed-point system P = sum_i (mu_i (P + I))^2 is solved here on plain
 Python lists of the length-(M+1) series coefficients.  ``solve`` works over
 ``int`` (denominators cleared, complex coefficients written as 2x2 integer
-blocks); ``iterate`` takes the ring's zero, so that the reference
-``iterate_system`` can pass ``Scalar`` entries.
+blocks).  ``iterate`` also takes ``Scalar`` entries from the reference
+``iterate_system``: new cells start as ``int`` zeros either way, and a
+``Scalar`` combines with them through ``__radd__`` and ``__rmul__``.
 
 The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
 of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
@@ -29,35 +30,33 @@ from typing import Dict, List, Sequence, Tuple
 SparseMats = Sequence[Dict[int, List[Tuple[int, tuple]]]]
 
 
-def _add(rows: dict, j: int, l: int, k: int, x, n_coeffs: int, zero):
-    rows.setdefault(j, {}).setdefault(l, [zero] * n_coeffs)[k] += x
+def _add(rows: dict, j: int, l: int, k: int, x, n_coeffs: int):
+    rows.setdefault(j, {}).setdefault(l, [0] * n_coeffs)[k] += x
 
 
-def _a_row(mu: dict, a: dict, p: dict, j: int, k: int, n_coeffs: int, zero):
+def _a_row(mu: dict, a: dict, p: dict, j: int, k: int, n_coeffs: int):
     """Add order k of row j of A = mu (P + I), read from ``p``, to ``a``."""
     for t, zp in mu.get(j, ()):
         if k < len(zp) and zp[k]:  # the I in P + I
-            _add(a, j, t, k, zp[k], n_coeffs, zero)
+            _add(a, j, t, k, zp[k], n_coeffs)
         for e, c in enumerate(zp[: k + 1]):
             if c:
                 for l, src in p.get(t, {}).items():
                     if src[k - e]:
-                        _add(a, j, l, k, c * src[k - e], n_coeffs, zero)
+                        _add(a, j, l, k, c * src[k - e], n_coeffs)
 
 
-def _p_row(a: dict, p: dict, j: int, k: int, n_coeffs: int, zero):
+def _p_row(a: dict, p: dict, j: int, k: int, n_coeffs: int):
     """Add order k of row j of A^2 to ``p``."""
     for t, f in a.get(j, {}).items():
         head = f[: k + 1]
         for l, g in a.get(t, {}).items():
             x = sum(map(_mul, head, g[k::-1]))
             if x:
-                _add(p, j, l, k, x, n_coeffs, zero)
+                _add(p, j, l, k, x, n_coeffs)
 
 
-def iterate(
-    mats: SparseMats, dim: int, n_coeffs: int, steps: int, zero
-) -> list:
+def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
     """Run P <- sum_i (mu_i (P + I))^2 ``steps`` times from P = 0; entry (1, N).
 
     ``mats`` holds the reduced representation matrices with rows of
@@ -71,11 +70,11 @@ def iterate(
             a: dict = {}
             for k in range(n_coeffs):
                 for j in range(dim):
-                    _a_row(mu, a, p, j, k, n_coeffs, zero)
+                    _a_row(mu, a, p, j, k, n_coeffs)
                 for j in range(dim):
-                    _p_row(a, new, j, k, n_coeffs, zero)
+                    _p_row(a, new, j, k, n_coeffs)
         p = new
-    return p.get(0, {}).get(dim - 1, [zero] * n_coeffs)
+    return p.get(0, {}).get(dim - 1, [0] * n_coeffs)
 
 
 def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
@@ -98,7 +97,7 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
     for k in range(n_coeffs):
         for j in range(dim - 1, -1, -1):
             for mu, a in zip(mats, a_s):
-                _a_row(mu, a, p, j, k, n_coeffs, 0)
+                _a_row(mu, a, p, j, k, n_coeffs)
             for a in a_s:
-                _p_row(a, p, j, k, n_coeffs, 0)
+                _p_row(a, p, j, k, n_coeffs)
     return p

@@ -119,14 +119,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _expansion_cap(args) -> int:
     if args.expansion_cap is not None:
-        return args.expansion_cap
-    env = os.environ.get(ENV_EXPANSION_CAP)
-    if env is not None:
+        cap, source = args.expansion_cap, "--expansion-cap"
+    else:
+        env = os.environ.get(ENV_EXPANSION_CAP)
+        if env is None:
+            return DEFAULT_EXPANSION_CAP
         try:
-            return int(env)
+            cap, source = int(env), ENV_EXPANSION_CAP
         except ValueError:
             raise UsageError(f"{ENV_EXPANSION_CAP} must be an integer, got {env!r}")
-    return DEFAULT_EXPANSION_CAP
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _load_polynomial(args) -> tuple[NCPolynomial, List[str]]:

@@ -21,10 +21,11 @@ Given a noncommutative polynomial p and a target order M, the engine
 5. recovers tau(p(s)^m) by the binomial theorem in c.
 
 ``build_zq_star``, ``reduce_rep`` and ``iterate_system`` are the paper's
-route through dense truncated matrices and T = deg(q)*M full sweeps.
-``moments`` does not use them; they stay as the reference that the
-stabilization checks run, and ``_sparse_rows`` feeds them to the kernel in
-``int`` when every entry is a real integer and in ``Scalar`` otherwise.
+route through dense matrices of ``ZPoly`` entries cut after z^M and
+T = deg(q)*M full sweeps.  ``moments`` does not use them; they stay as the
+reference that the stabilization checks run, and ``_sparse_rows`` feeds them
+to the kernel in ``int`` when every entry is a real integer and in ``Scalar``
+otherwise.
 
 Everything is exact; the returned moments are Scalars.
 """
@@ -41,9 +42,9 @@ from . import _kernel
 from .linrep import LinearRepresentation, build_zq_star  # noqa: F401
 from .ncpoly import NCPolynomial, split_constant
 from .scalar import ONE, Scalar
-from .series import TruncatedSeries, ZPoly
+from .series import ZPoly
 
-ReducedMats = List[List[List[TruncatedSeries]]]
+ReducedMats = List[List[List[ZPoly]]]
 
 
 @dataclass(frozen=True)
@@ -69,20 +70,19 @@ class MomentVector:
 
 
 def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
-    """Entrywise image of the representation in C[z]/(z^(M+1))."""
+    """Entrywise image of the representation in C[z]/(z^(M+1)): every entry
+    cut after z^M."""
+    n_coeffs = truncation_order + 1
     return [
-        [[entry.truncate(truncation_order) for entry in row] for row in mat]
+        [[ZPoly(entry.coeffs[:n_coeffs]) for entry in row] for row in mat]
         for mat in rep.mats
     ]
 
 
-def _sparse_rows(mats, n_coeffs: int):
-    """Matrices of ZPoly or TruncatedSeries entries as kernel input.
-
-    Returns the per-variable sparse rows with coefficients truncated at z^M,
-    as plain ints when every coefficient is a real integer and as Scalars
-    otherwise, plus that ring's zero.
-    """
+def _sparse_rows(mats: ReducedMats):
+    """Reduced matrices as kernel input: per-variable sparse rows, with the
+    coefficients as plain ints when every one is a real integer and as
+    Scalars otherwise."""
     as_int = all(
         c.is_real() and c.re.denominator == 1
         for mat in mats for row in mat for entry in row for c in entry.coeffs
@@ -91,17 +91,15 @@ def _sparse_rows(mats, n_coeffs: int):
     for mat in mats:
         rows = {}
         for j, row in enumerate(mat):
-            entries = []
-            for t, entry in enumerate(row):
-                coeffs = ZPoly(entry.coeffs[:n_coeffs]).coeffs
-                if coeffs:
-                    entries.append(
-                        (t, tuple(c.re.numerator for c in coeffs) if as_int else coeffs)
-                    )
+            entries = [
+                (t, tuple(c.re.numerator for c in e.coeffs) if as_int else e.coeffs)
+                for t, e in enumerate(row)
+                if e
+            ]
             if entries:
                 rows[j] = entries
         sparse.append(rows)
-    return sparse, 0 if as_int else Scalar(0)
+    return sparse
 
 
 def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
@@ -143,7 +141,7 @@ def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
 
 def iterate_system(
     mats: ReducedMats, dim: int, truncation_order: int, iterations: int
-) -> TruncatedSeries:
+) -> ZPoly:
     """Iterate P <- sum_i (mu_i (P + I))^2 from P = 0; entry (1, N) of P^T.
 
     The z^m coefficient of the result equals tau(q(s_1,...,s_n)^m) for
@@ -151,10 +149,8 @@ def iterate_system(
     """
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
-    n_coeffs = truncation_order + 1
-    sparse, zero = _sparse_rows(mats, n_coeffs)
-    p = _kernel.iterate(sparse, dim, n_coeffs, iterations, zero)
-    return TruncatedSeries(p, truncation_order)
+    sparse = _sparse_rows(mats)
+    return ZPoly(_kernel.iterate(sparse, dim, truncation_order + 1, iterations))
 
 
 def moments(p: NCPolynomial, max_order: int) -> MomentVector:

@@ -5,10 +5,6 @@ class FreeMomentsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class OrderMismatchError(FreeMomentsError, ValueError):
-    """Two truncated series with different truncation orders were combined."""
-
-
 class VariableMismatchError(FreeMomentsError, ValueError):
     """Two objects over different ambient variable counts were combined."""
 

@@ -9,8 +9,10 @@ rejected everywhere.
 The public constructor ``Scalar(re, im)`` validates and converts its
 arguments.  Arithmetic results are built by ``_make`` from parts that are
 already ``Fraction``s (a ``Fraction`` combined with a ``Fraction`` or an
-``int`` is again a ``Fraction``), so they skip that check; operands of any
-other type go through ``_coerce`` first, which refuses floats.
+``int`` is again a ``Fraction``), so they skip that check.  An ``int``
+operand of ``+`` or ``*`` is combined with the parts directly, since the
+kernel's cells start as ``int`` zeros; operands of any other type go through
+``_coerce`` first, which refuses floats.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
+            if other.__class__ is int:
+                return _make(self.re + other, self.im)
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented

@@ -1,18 +1,17 @@
-"""Univariate z-arithmetic: plain polynomials and the ring C[z]/(z^(M+1)).
+"""Univariate z-polynomials.
 
-``ZPoly`` is an untruncated polynomial in z with ``Scalar`` coefficients; it
-is what linear-representation matrix entries are made of.  ``TruncatedSeries``
-is a fixed-length coefficient vector representing an element of
-C[z]/(z^(M+1)); the moment engine does all of its arithmetic there.
+``ZPoly`` is a polynomial in z with ``Scalar`` coefficients; it is what
+linear-representation matrix entries are made of.  The moment engine does
+its arithmetic in C[z]/(z^(M+1)) on plain coefficient lists (``_kernel``);
+an element there is passed around as a ``ZPoly`` of degree at most M.
 
-Multiplication is schoolbook O(M^2).  Everything is immutable.
+Multiplication is schoolbook.  Everything is immutable.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import OrderMismatchError
 from .scalar import ONE, ZERO, Scalar
 
 
@@ -73,12 +72,6 @@ class ZPoly:
             out[k] = out[k] + c
         return ZPoly(out)
 
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
     def __mul__(self, other: "ZPoly") -> "ZPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -91,16 +84,6 @@ class ZPoly:
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
         return ZPoly(out)
-
-    def scale(self, factor) -> "ZPoly":
-        factor = _coerce_scalar(factor)
-        return ZPoly(tuple(factor * c for c in self.coeffs))
-
-    def truncate(self, truncation_order: int) -> "TruncatedSeries":
-        """Image under the quotient map C[z] -> C[z]/(z^(M+1))."""
-        coeffs = list(self.coeffs[: truncation_order + 1])
-        coeffs += [ZERO] * (truncation_order + 1 - len(coeffs))
-        return TruncatedSeries(coeffs, truncation_order)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -127,121 +110,3 @@ class ZPoly:
 
 ZPOLY_ZERO = ZPoly()
 ZPOLY_ONE = ZPoly((ONE,))
-ZPOLY_Z = ZPoly.z()
-
-
-class TruncatedSeries:
-    """An element of C[z]/(z^(M+1)): exactly M+1 Scalar coefficients.
-
-    ``coeffs[m]`` is the z^m coefficient.  Operands of ``+`` and ``*`` must
-    share the same truncation order; mixing orders raises
-    ``OrderMismatchError``.
-    """
-
-    __slots__ = ("coeffs", "truncation_order")
-
-    def __init__(self, coeffs: Sequence, truncation_order: int):
-        if truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        cs = tuple(_coerce_scalar(c) for c in coeffs)
-        if len(cs) != truncation_order + 1:
-            raise ValueError(
-                f"need exactly {truncation_order + 1} coefficients, "
-                f"got {len(cs)}"
-            )
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "truncation_order", truncation_order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def zero(cls, truncation_order: int) -> "TruncatedSeries":
-        return cls((ZERO,) * (truncation_order + 1), truncation_order)
-
-    @classmethod
-    def one(cls, truncation_order: int) -> "TruncatedSeries":
-        return cls((ONE,) + (ZERO,) * truncation_order, truncation_order)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence, truncation_order: int) -> "TruncatedSeries":
-        """Build from at most M+1 leading coefficients, zero-padding the rest."""
-        cs = [_coerce_scalar(c) for c in coeffs[: truncation_order + 1]]
-        cs += [ZERO] * (truncation_order + 1 - len(cs))
-        return cls(cs, truncation_order)
-
-    def coefficient(self, m: int) -> Scalar:
-        return self.coeffs[m]
-
-    def _check_order(self, other: "TruncatedSeries"):
-        if self.truncation_order != other.truncation_order:
-            raise OrderMismatchError(
-                f"truncation orders differ: {self.truncation_order} vs "
-                f"{other.truncation_order}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.truncation_order,
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs), self.truncation_order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.truncation_order,
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        n = self.truncation_order + 1
-        out = [ZERO] * n
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j in range(n - i):
-                bj = other.coeffs[j]
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return TruncatedSeries(out, self.truncation_order)
-
-    def scale(self, factor) -> "TruncatedSeries":
-        factor = _coerce_scalar(factor)
-        return TruncatedSeries(
-            tuple(factor * c for c in self.coeffs), self.truncation_order
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.truncation_order == other.truncation_order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.truncation_order))
-
-    def __str__(self):
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
-    def __repr__(self):
-        return f"TruncatedSeries({self}, order={self.truncation_order})"
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Pointwise sum in C[z]/(z^(M+1))."""
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at z^(M+1), schoolbook O(M^2)."""
-    return a * b

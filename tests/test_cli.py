@@ -111,14 +111,22 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         ("moments", "--poly", "x1", "--n-vars", "0", "--max-order", "2"),
         ("moments", "--poly", "x1", "--max-order", "0"),
         ("bench", "--poly", "x1", "--sweep", "2,oops"),
+        ("verify", "--poly", "x1", "--max-order", "2", "--expansion-cap", "-5"),
+        ("verify", "--poly", "x1", "--max-order", "2", "--expansion-cap", "0"),
+        ("bench", "--poly", "x1", "--sweep", "2", "--expansion-cap", "-1"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error" in err and "position" not in err, argv
-    monkeypatch.setenv("FREEMOMENTS_EXPANSION_CAP", "lots")
-    code, _, err = run(capsys, "verify", "--poly", "x1", "--max-order", "2")
-    assert code == 2
-    assert "FREEMOMENTS_EXPANSION_CAP" in err and "position" not in err
+    for env in ("lots", "0", "-3"):
+        monkeypatch.setenv("FREEMOMENTS_EXPANSION_CAP", env)
+        for argv in [
+            ("verify", "--poly", "x1", "--max-order", "2"),
+            ("bench", "--poly", "x1", "--sweep", "2"),
+        ]:
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (env, argv)
+            assert "FREEMOMENTS_EXPANSION_CAP" in err and "position" not in err, env
 
 
 def test_parser_blowup_exit_4(capsys):

@@ -7,7 +7,6 @@ import pytest
 from freemoments import (
     NCPolynomial,
     Scalar,
-    TruncatedSeries,
     ZPoly,
     brute_moment,
     build_zq_star,
@@ -26,10 +25,10 @@ import properties
 def test_reduce_rep_examples():
     rep = rep_variable(1, 1, ZPoly.z(3))
     mats = reduce_rep(rep, 4)
-    assert mats[0][0][1] == TruncatedSeries([0, 3, 0, 0, 0], 4)
+    assert mats[0][0][1] == ZPoly([0, 3])
     mats0 = reduce_rep(rep, 0)
-    assert mats0[0][0][1] == TruncatedSeries([0], 0)
-    assert mats0[0][1][0] == TruncatedSeries([0], 0)
+    assert mats0[0][0][1] == ZPoly()  # 3z cut after z^0
+    assert mats0[0][1][0] == ZPoly()
 
 
 def test_iterate_semicircular_catalan():
@@ -68,13 +67,21 @@ def test_iterate_requires_positive_steps():
 
 
 def test_iterate_kernels_agree():
-    # rational and complex inputs fall back to slower coefficient rings;
-    # all three must produce identical series
-    for text, n_vars in [("1/2*x1 + x2^2", 2), ("i*x1 + x2", 2), ("x1*x2", 2)]:
+    # rational and complex inputs fall back to Scalar kernel entries, which
+    # meet the kernel's int zeros; every input must give the integer path's
+    # values, as Scalars from z^0 on
+    for text, n_vars in [
+        ("1/2*x1 + x2^2", 2),
+        ("i*x1 + x2", 2),
+        ("i*x1*x2 - i*x2*x1", 2),
+        ("x1*x2", 2),
+        ("x1*x2 + x2*x1", 2),
+    ]:
         q = parse_polynomial(text, n_vars)
         rep = build_zq_star(q)
         mats = reduce_rep(rep, 6)
         direct = iterate_system(mats, rep.dim, 6, q.degree * 6)
+        assert all(type(c) is Scalar for c in direct.coeffs), text
         scaled = moments(q, 6)  # runs the integer path after rescaling
         for m in range(1, 7):
             assert direct.coefficient(m) == scaled.value(m), (text, m)
@@ -184,7 +191,8 @@ def test_iterate_order_zero():
     rep = build_zq_star(parse_polynomial("x1", 1))
     mats = reduce_rep(rep, 0)
     series = iterate_system(mats, rep.dim, 0, 1)
-    assert series == TruncatedSeries.zero(0)
+    assert series == ZPoly()
+    assert series.coefficient(0) == Scalar(0)
 
 
 def test_concurrent_requests():

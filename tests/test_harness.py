@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import freemoments
+import freemoments.cli  # the tracer wraps cli attributes; the package does not import it
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
