@@ -12,13 +12,14 @@ of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
 nonzero rows, each a dict of nonzero columns.  None of this changes the
 result: it is classical matrix multiplication with zero blocks skipped.
 
-``_a_row`` and ``_p_row`` add one order of one row to A_i and to P.
-``iterate`` runs them on every row and order, ``steps`` times from P = 0:
-the paper's sweep, kept as the reference.  ``solve`` runs each once.  Order
-k of P depends on P[0..k-1] and on P[k] only through the z^0 part of the
-mu_i; when that part is strictly upper triangular, row j of order k reads
-only higher rows of order k, so taking the rows from last to first is a
-back-substitution and every value is final when it is written.
+``iterate`` is the paper's sweep, kept as the reference: ``_a_row`` and
+``_p_row`` add one order of one row to A_i and to P, and it runs them on
+every row and order, ``steps`` times from P = 0.  ``solve`` computes each
+row and order once, with the same arithmetic written out in one loop.
+Order k of P depends on P[0..k-1] and on P[k] only through the z^0 part of
+the mu_i; when that part is strictly upper triangular, row j of order k
+reads only higher rows of order k, so taking the rows from last to first is
+a back-substitution and every value is final when it is written.
 """
 
 from __future__ import annotations
@@ -93,11 +94,54 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
                         "the z^0 part of the representation is not nilpotent"
                     )
     p: dict = {}
-    a_s: List[dict] = [{} for _ in mats]
+    pairs = [(mu, {}) for mu in mats]  # (mu_i, A_i)
     for k in range(n_coeffs):
         for j in range(dim - 1, -1, -1):
-            for mu, a in zip(mats, a_s):
-                _a_row(mu, a, p, j, k, n_coeffs)
-            for a in a_s:
-                _p_row(a, p, j, k, n_coeffs)
+            # order k of row j of every A_i = mu_i (P + I)
+            for mu, a in pairs:
+                entries = mu.get(j)
+                if entries is None:
+                    continue
+                a_j = a.get(j)
+                if a_j is None:
+                    a_j = a[j] = {}
+                for t, zp in entries:
+                    p_t = p.get(t)
+                    for e, c in enumerate(zp[: k + 1]):
+                        if not c:
+                            continue
+                        if e == k:  # the I in P + I
+                            cell = a_j.get(t)
+                            if cell is None:
+                                cell = a_j[t] = [0] * n_coeffs
+                            cell[k] += c
+                        if p_t is None:
+                            continue
+                        for l, src in p_t.items():
+                            x = src[k - e]
+                            if x:
+                                cell = a_j.get(l)
+                                if cell is None:
+                                    cell = a_j[l] = [0] * n_coeffs
+                                cell[k] += c * x
+            # order k of row j of P = sum_i A_i^2
+            p_j = p.get(j)
+            for _, a in pairs:
+                a_j = a.get(j)
+                if not a_j:
+                    continue
+                for t, f in a_j.items():
+                    a_t = a.get(t)
+                    if not a_t:
+                        continue
+                    head = f[: k + 1]
+                    for l, g in a_t.items():
+                        x = sum(map(_mul, head, g[k::-1]))
+                        if x:
+                            if p_j is None:
+                                p_j = p[j] = {}
+                            cell = p_j.get(l)
+                            if cell is None:
+                                cell = p_j[l] = [0] * n_coeffs
+                            cell[k] += x
     return p

@@ -23,7 +23,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .engine import complexity_probe, moments
+from .engine import MAX_ORDER, complexity_probe, moments
 from .errors import CapExceededError, ParseCapExceededError, PolyParseError, UsageError
 from .ncpoly import NCPolynomial, infer_variable_count, parse_polynomial
 from .oracle import (
@@ -147,14 +147,20 @@ def _load_polynomial(args) -> tuple[NCPolynomial, List[str]]:
     return poly, warnings
 
 
+def _check_max_order(args) -> None:
+    if not 1 <= args.max_order <= MAX_ORDER:
+        raise UsageError(
+            f"--max-order must be between 1 and {MAX_ORDER}, got {args.max_order}"
+        )
+
+
 def _approx(value: Scalar) -> dict:
     return {"re_approx": float(value.re), "im_approx": float(value.im)}
 
 
 def _cmd_moments(args, out) -> int:
     poly, warnings = _load_polynomial(args)
-    if args.max_order < 1:
-        raise UsageError("--max-order must be at least 1")
+    _check_max_order(args)
     mv = moments(poly, args.max_order)
 
     if args.format == "json":
@@ -214,11 +220,11 @@ def _cmd_moments(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     poly, warnings = _load_polynomial(args)
-    if args.max_order < 1:
-        raise UsageError("--max-order must be at least 1")
     cap = _expansion_cap(args)
-    # (m_p)^m grows with m: refuse an M past the cap before running the engine
+    # (m_p)^m grows with m: an M past the cap exits 4 before the order check
+    # and the engine (check_expansion_cap never refuses M < 1)
     check_expansion_cap(poly, args.max_order, cap)
+    _check_max_order(args)
     mv = moments(poly, args.max_order)
     mismatches = []
     for m in range(1, args.max_order + 1):
@@ -271,8 +277,10 @@ def _cmd_bench(args, out) -> int:
         orders = [int(s) for s in args.sweep.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--sweep must be comma-separated integers, got {args.sweep!r}")
-    if not orders or any(m < 1 for m in orders):
-        raise UsageError(f"--sweep orders must be positive, got {args.sweep!r}")
+    if not orders or any(not 1 <= m <= MAX_ORDER for m in orders):
+        raise UsageError(
+            f"--sweep orders must be between 1 and {MAX_ORDER}, got {args.sweep!r}"
+        )
     cap = _expansion_cap(args)
     report = complexity_probe(poly, orders, cap)
 

@@ -5,10 +5,10 @@ Given a noncommutative polynomial p and a target order M, the engine
 1. splits p = c + q with q constant-free and clears q's denominators, so
    every coefficient is a Gaussian integer;
 2. builds (z*q)* as a weighted automaton on the prefix trie of q's words:
-   one state per proper nonempty prefix, then a final and a start state,
-   so N = 2 + #prefixes.  z rides on the edges leaving the start state, the
-   term coefficient on the edge into the final state, and every edge into
-   the final state is copied into the start state's column (the star);
+   one state per proper nonempty prefix, then the start state, which is
+   also the final state, so N = 1 + #prefixes.  z rides on the edges
+   leaving the start state, and the term coefficient on each word's last
+   edge, which goes back into the start state (the star);
 3. writes the automaton straight into sparse kernel rows over plain ``int``,
    realizing the substitution X_i -> 1.  When a coefficient is complex,
    state s becomes rows 2s and 2s+1 and a + b*i the block [[a, -b], [b, a]],
@@ -16,7 +16,7 @@ Given a noncommutative polynomial p and a target order M, the engine
 4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order in one
    pass over the rows from last to first: the z^0 part is strictly upper
    triangular, so this is a back-substitution.  The z^m coefficient of entry
-   (start, final) is then tau(q(s)^m) for every m <= M (the imaginary part
+   (start, start) is then tau(q(s)^m) for every m <= M (the imaginary part
    one row below the real part);
 5. recovers tau(p(s)^m) by the binomial theorem in c.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import _kernel
@@ -45,6 +46,11 @@ from .scalar import ONE, Scalar
 from .series import ZPoly
 
 ReducedMats = List[List[List[ZPoly]]]
+
+# the solve keeps length-(M+1) coefficient lists; refuse an M whose lists
+# alone would exhaust memory before any arithmetic (same bound as the
+# parser's MAX_PARSE_DEGREE)
+MAX_ORDER = 10**4
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,12 @@ def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
 
     q must be constant-free, nonzero and have Gaussian-integer coefficients.
     Returns the per-variable rows (row -> [(col, z-coefficient tuple)]), the
-    state count N, and the block width: 1, or 2 when some coefficient is
-    complex and every state s spans rows 2s, 2s+1.  Prefix states come
-    first, parents before children, then the final state N - 2 and the
-    start state N - 1, so every z^0 edge goes to a higher state.
+    state count N = 1 + #prefixes, and the block width: 1, or 2 when some
+    coefficient is complex and every state s spans rows 2s, 2s+1.  Prefix
+    states come first, parents before children, then the start state N - 1,
+    which is also the final state: each word's last edge goes back into it.
+    Every z^0 edge goes to a higher state, since only edges leaving the start
+    state, which carry z, can end on or below their source.
     """
     terms = list(q.terms())
     block = 2 if any(c.im for _, c in terms) else 1
@@ -118,14 +126,12 @@ def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
     for word, _ in terms:
         for j in range(1, len(word)):
             states.setdefault(word[:j], len(states))
-    final = len(states)
-    start = states[()] = final + 1
+    start = states[()] = len(states)
     edges = {}  # (letter, src, dst) -> coefficient
     for word, c in terms:
         for j in range(1, len(word)):
             edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = ONE
-        src = states[word[:-1]]
-        edges[word[-1], src, final] = edges[word[-1], src, start] = c
+        edges[word[-1], states[word[:-1]], start] = c
     rows: List[dict] = [{} for _ in range(q.n_vars)]
     for (letter, src, dst), c in edges.items():
         re, im = c.re.numerator, c.im.numerator
@@ -155,8 +161,8 @@ def iterate_system(
 
 def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     """All moments tau(p(s_1,...,s_n)^m) for m = 1..max_order, exactly."""
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
     c, q = split_constant(p)
     if q.is_zero():
         values = tuple(c ** m for m in range(1, max_order + 1))
@@ -175,15 +181,18 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     n_coeffs = max_order + 1
     p_mat = _kernel.solve(rows, block * n_states, n_coeffs)
     zeros = [0] * n_coeffs
-    start, final = block * (n_states - 1), block * (n_states - 2)
-    re = p_mat.get(start, {}).get(final, zeros)
-    im = p_mat.get(start + 1, {}).get(final, zeros) if block == 2 else zeros
+    start = block * (n_states - 1)
+    re = p_mat.get(start, {}).get(start, zeros)
+    im = p_mat.get(start + 1, {}).get(start, zeros) if block == 2 else zeros
     if re[0] or im[0]:
         # every path out of the start state carries at least one factor of z
         raise AssertionError(
-            "iteration produced a nonzero constant term at entry (start, final)"
+            "iteration produced a nonzero constant term at entry (start, start)"
         )
-    tau_q = [ONE] + [Scalar(re[m], im[m]) / Scalar(lam**m) for m in range(1, n_coeffs)]
+    tau_q = [ONE]
+    for m in range(1, n_coeffs):
+        lam_m = lam**m
+        tau_q.append(Scalar(Fraction(re[m], lam_m), Fraction(im[m], lam_m)))
 
     values = []
     for m in range(1, max_order + 1):

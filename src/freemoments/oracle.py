@@ -34,6 +34,7 @@ WORD_MOMENT_CAP = 16
 CUMULANT_CAP = 12
 PSEMI_CAP = 12
 DEFAULT_EXPANSION_CAP = 10**6
+PAIRING_CACHE_MAX = 1 << 16  # words; brute_moment clears the cache past this
 
 
 def catalan(k: int) -> int:
@@ -186,6 +187,9 @@ def brute_moment(
     else:
         re = sum(k * c for k, c in _counted_words(power, max_len))
         im = 0
+    # keep the cached subwords shared across calls, but not without bound
+    if _consistent_pairing_count.cache_info().currsize > PAIRING_CACHE_MAX:
+        _consistent_pairing_count.cache_clear()
     den = lam ** m
     return Scalar(Fraction(re, den), Fraction(im, den))
 

@@ -39,7 +39,7 @@ def test_moments_json_schema_golden(capsys):
         "poly": "-3*x1 + x1^3",
         "n_vars": 1,
         "M": 4,
-        "N": 4,
+        "N": 3,
         "moments": [
             {"m": 1, "re": "0", "im": "0"},
             {"m": 2, "re": "2", "im": "0"},
@@ -248,6 +248,18 @@ def test_bench_bad_sweep(capsys):
 def test_max_order_validation(capsys):
     code, _, _ = run(capsys, "moments", "--poly", "x1", "--max-order", "0")
     assert code == 2
+    # an absurd M is a usage error, refused before any length-M allocation
+    huge = str(10**20)
+    for argv in [
+        ("moments", "--poly", "x1", "--max-order", huge),
+        ("moments", "--poly", "2", "--max-order", "10001"),
+        ("verify", "--poly", "x1", "--max-order", huge),
+        ("bench", "--poly", "x1", "--sweep", huge),
+        ("bench", "--poly", "x1", "--sweep", "2,10001"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "between 1 and 10000" in err, argv
 
 
 def test_verify_csv(capsys):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from freemoments import (
     parse_polynomial,
 )
 from freemoments import _kernel
-from freemoments.engine import complexity_probe, iterate_system, reduce_rep
+from freemoments.engine import MAX_ORDER, complexity_probe, iterate_system, reduce_rep
 from freemoments.linrep import rep_variable
 
 import properties
@@ -110,7 +111,7 @@ def test_moments_metadata():
     p = parse_polynomial("x1*x2 + x2*x1", 2)
     mv = moments(p, 8)
     assert mv.max_order == 8
-    assert mv.rep_dim == 4
+    assert mv.rep_dim == 3
     assert mv.n_vars == 2
     assert mv.degree == 2
     assert mv.n_terms == 2
@@ -118,9 +119,9 @@ def test_moments_metadata():
 
 def test_moments_metadata_complex():
     # complex coefficients double the kernel rows, not the reported N:
-    # start, prefixes x1 and x2, final
+    # prefixes x1 and x2, then the start state, which is also final
     mv = moments(parse_polynomial("i*x1*x2 - i*x2*x1", 2), 6)
-    assert mv.rep_dim == 4
+    assert mv.rep_dim == 3
     assert [str(v) for v in mv.values] == ["0", "2", "0", "10", "0", "66"]
 
 
@@ -141,6 +142,10 @@ def test_moments_rational_scaling():
 def test_moments_rejects_bad_order():
     with pytest.raises(ValueError):
         moments(NCPolynomial.variable(1, 1), 0)
+    for max_order in (MAX_ORDER + 1, 10**20):
+        for p in (NCPolynomial.variable(1, 1), parse_polynomial("2", 1)):
+            with pytest.raises(ValueError, match="between 1 and 10000"):
+                moments(p, max_order)
 
 
 def test_moment_value_rejects_order_below_one():
@@ -185,6 +190,28 @@ def test_high_degree_inputs():
         mv = moments(p, max_order)
         for m in range(1, max_order + 1):
             assert mv.value(m) == brute_moment(p, m), (text, m)
+
+
+def test_closed_forms_past_oracle_reach():
+    # s1 + s2 is semicircular of variance 2: a single-letter term per
+    # variable, i.e. z self-loops on the start state
+    mv = moments(parse_polynomial("x1 + x2", 2), 64)
+    for m in range(1, 65):
+        expected = 2 ** (m // 2) * catalan(m // 2) if m % 2 == 0 else 0
+        assert mv.value(m) == Scalar(expected), m
+    # a complex coefficient: the answer is read from the start state's 2x2 block
+    mv = moments(parse_polynomial("i*x1", 1), 40)
+    for m in range(1, 41):
+        expected = (-1) ** (m // 2) * catalan(m // 2) if m % 2 == 0 else 0
+        assert mv.value(m) == Scalar(expected), m
+    # cleared denominators (lam = 3) together with the binomial recombination
+    mv = moments(parse_polynomial("1/3*x1 + 2", 1), 24)
+    for m in range(1, 25):
+        expected = sum(
+            Fraction(math.comb(m, 2 * k) * 2 ** (m - 2 * k) * catalan(k), 9**k)
+            for k in range(m // 2 + 1)
+        )
+        assert mv.value(m) == Scalar(expected), m
 
 
 def test_iterate_order_zero():

@@ -11,6 +11,7 @@ from freemoments import (
     enumerate_nc_pairings,
     free_cumulants,
     moments_from_cumulants,
+    oracle,
     parse_polynomial,
     psemi_coefficient,
     psemi_table,
@@ -116,6 +117,15 @@ def test_brute_moment_cap_is_the_blowup():
     assert brute_moment(p, 10, expansion_cap=2**10) == Scalar(4066)
     with pytest.raises(CapExceededError):
         brute_moment(p, 10, expansion_cap=2**10 - 1)
+
+
+def test_pairing_cache_stays_bounded():
+    # 4^9 expanded words and their subwords would leave about 10^5 cached
+    # entries; brute_moment clears the cache once it passes the bound
+    p = parse_polynomial("x1 + x2 + x3 + x1*x2", 3)
+    assert brute_moment(p, 9) == Scalar(11880)
+    size = oracle._consistent_pairing_count.cache_info().currsize
+    assert size <= oracle.PAIRING_CACHE_MAX == 1 << 16
 
 
 def test_free_cumulants_examples():
