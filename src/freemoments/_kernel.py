@@ -12,11 +12,11 @@ of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
 nonzero rows, each a dict of nonzero columns.  None of this changes the
 result: it is classical matrix multiplication with zero blocks skipped.
 
-``iterate`` is the paper's sweep, kept as the reference: ``_a_row`` and
-``_p_row`` add one order of one row to A_i and to P, and it runs them on
-every row and order, ``steps`` times from P = 0.  ``solve`` computes each
-row and order once, with the same arithmetic written out in one loop.
-Order k of P depends on P[0..k-1] and on P[k] only through the z^0 part of
+The arithmetic lives in two helpers: ``_a_row`` adds one order of one row
+to every A_i, and ``_p_row`` the same order and row of sum_i A_i^2 to P.
+``iterate`` is the paper's sweep, kept as the reference: it runs them on
+every row and order, ``steps`` times from P = 0.  ``solve`` runs them once
+per row and order.  Order k of P depends on P[0..k-1] and on P[k] only through the z^0 part of
 the mu_i; when that part is strictly upper triangular, row j of order k
 reads only higher rows of order k, so taking the rows from last to first is
 a back-substitution and every value is final when it is written.
@@ -27,34 +27,62 @@ from __future__ import annotations
 from operator import mul as _mul
 from typing import Dict, List, Sequence, Tuple
 
-# sparse matrix: per variable, row index -> list of (col, coeff tuple)
+# sparse matrices, one per letter: row index -> list of (col, coeff tuple)
 SparseMats = Sequence[Dict[int, List[Tuple[int, tuple]]]]
 
 
-def _add(rows: dict, j: int, l: int, k: int, x, n_coeffs: int):
-    rows.setdefault(j, {}).setdefault(l, [0] * n_coeffs)[k] += x
+def _a_row(pairs, p: dict, j: int, k: int, n_coeffs: int):
+    """Add order k of row j of A_i = mu_i (P + I), read from ``p``, for every
+    (mu_i, A_i) in ``pairs``."""
+    for mu, a in pairs:
+        entries = mu.get(j)
+        if entries is None:
+            continue
+        a_j = a.get(j)
+        if a_j is None:
+            a_j = a[j] = {}
+        for t, zp in entries:
+            p_t = p.get(t)
+            for e, c in enumerate(zp[: k + 1]):
+                if not c:
+                    continue
+                if e == k:  # the I in P + I
+                    cell = a_j.get(t)
+                    if cell is None:
+                        cell = a_j[t] = [0] * n_coeffs
+                    cell[k] += c
+                if p_t is None:
+                    continue
+                for l, src in p_t.items():
+                    x = src[k - e]
+                    if x:
+                        cell = a_j.get(l)
+                        if cell is None:
+                            cell = a_j[l] = [0] * n_coeffs
+                        cell[k] += c * x
 
 
-def _a_row(mu: dict, a: dict, p: dict, j: int, k: int, n_coeffs: int):
-    """Add order k of row j of A = mu (P + I), read from ``p``, to ``a``."""
-    for t, zp in mu.get(j, ()):
-        if k < len(zp) and zp[k]:  # the I in P + I
-            _add(a, j, t, k, zp[k], n_coeffs)
-        for e, c in enumerate(zp[: k + 1]):
-            if c:
-                for l, src in p.get(t, {}).items():
-                    if src[k - e]:
-                        _add(a, j, l, k, c * src[k - e], n_coeffs)
-
-
-def _p_row(a: dict, p: dict, j: int, k: int, n_coeffs: int):
-    """Add order k of row j of A^2 to ``p``."""
-    for t, f in a.get(j, {}).items():
-        head = f[: k + 1]
-        for l, g in a.get(t, {}).items():
-            x = sum(map(_mul, head, g[k::-1]))
-            if x:
-                _add(p, j, l, k, x, n_coeffs)
+def _p_row(pairs, p: dict, j: int, k: int, n_coeffs: int):
+    """Add order k of row j of sum_i A_i^2 to ``p``."""
+    p_j = p.get(j)
+    for _, a in pairs:
+        a_j = a.get(j)
+        if not a_j:
+            continue
+        for t, f in a_j.items():
+            a_t = a.get(t)
+            if not a_t:
+                continue
+            head = f[: k + 1]
+            for l, g in a_t.items():
+                x = sum(map(_mul, head, g[k::-1]))
+                if x:
+                    if p_j is None:
+                        p_j = p[j] = {}
+                    cell = p_j.get(l)
+                    if cell is None:
+                        cell = p_j[l] = [0] * n_coeffs
+                    cell[k] += x
 
 
 def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
@@ -62,18 +90,18 @@ def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
 
     ``mats`` holds the reduced representation matrices with rows of
     (column, z-coefficient-tuple) pairs; ``n_coeffs`` is M + 1.  Each step
-    reads only the previous P (a Jacobi sweep).
+    reads only the previous P (a Jacobi sweep): at every order, all rows of
+    every A_i first, then all rows of the new P.
     """
     p: dict = {}
     for _ in range(steps):
         new: dict = {}
-        for mu in mats:
-            a: dict = {}
-            for k in range(n_coeffs):
-                for j in range(dim):
-                    _a_row(mu, a, p, j, k, n_coeffs)
-                for j in range(dim):
-                    _p_row(a, new, j, k, n_coeffs)
+        pairs = [(mu, {}) for mu in mats]
+        for k in range(n_coeffs):
+            for j in range(dim):
+                _a_row(pairs, p, j, k, n_coeffs)
+            for j in range(dim):
+                _p_row(pairs, new, j, k, n_coeffs)
         p = new
     return p.get(0, {}).get(dim - 1, [0] * n_coeffs)
 
@@ -97,51 +125,6 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
     pairs = [(mu, {}) for mu in mats]  # (mu_i, A_i)
     for k in range(n_coeffs):
         for j in range(dim - 1, -1, -1):
-            # order k of row j of every A_i = mu_i (P + I)
-            for mu, a in pairs:
-                entries = mu.get(j)
-                if entries is None:
-                    continue
-                a_j = a.get(j)
-                if a_j is None:
-                    a_j = a[j] = {}
-                for t, zp in entries:
-                    p_t = p.get(t)
-                    for e, c in enumerate(zp[: k + 1]):
-                        if not c:
-                            continue
-                        if e == k:  # the I in P + I
-                            cell = a_j.get(t)
-                            if cell is None:
-                                cell = a_j[t] = [0] * n_coeffs
-                            cell[k] += c
-                        if p_t is None:
-                            continue
-                        for l, src in p_t.items():
-                            x = src[k - e]
-                            if x:
-                                cell = a_j.get(l)
-                                if cell is None:
-                                    cell = a_j[l] = [0] * n_coeffs
-                                cell[k] += c * x
-            # order k of row j of P = sum_i A_i^2
-            p_j = p.get(j)
-            for _, a in pairs:
-                a_j = a.get(j)
-                if not a_j:
-                    continue
-                for t, f in a_j.items():
-                    a_t = a.get(t)
-                    if not a_t:
-                        continue
-                    head = f[: k + 1]
-                    for l, g in a_t.items():
-                        x = sum(map(_mul, head, g[k::-1]))
-                        if x:
-                            if p_j is None:
-                                p_j = p[j] = {}
-                            cell = p_j.get(l)
-                            if cell is None:
-                                cell = p_j[l] = [0] * n_coeffs
-                            cell[k] += x
+            _a_row(pairs, p, j, k, n_coeffs)
+            _p_row(pairs, p, j, k, n_coeffs)
     return p

@@ -2,23 +2,28 @@
 
 Given a noncommutative polynomial p and a target order M, the engine
 
-1. splits p = c + q with q constant-free and clears q's denominators, so
-   every coefficient is a Gaussian integer;
-2. builds (z*q)* as a weighted automaton on the prefix trie of q's words:
+1. clears the denominators of every coefficient of p, the constant c
+   included (``NCPolynomial.integer_terms``), so lam*p has Gaussian-integer
+   coefficients, and sets its constant lam*c aside: lam*p = lam*c + lam*q;
+2. builds (z*lam*q)* as a weighted automaton on the prefix trie of q's words:
    one state per proper nonempty prefix, then the start state, which is
    also the final state, so N = 1 + #prefixes.  z rides on the edges
    leaving the start state, and the term coefficient on each word's last
    edge, which goes back into the start state (the star);
 3. writes the automaton straight into sparse kernel rows over plain ``int``,
-   realizing the substitution X_i -> 1.  When a coefficient is complex,
-   state s becomes rows 2s and 2s+1 and a + b*i the block [[a, -b], [b, a]],
-   a ring homomorphism, so the solve stays over ``int``;
+   one set per letter that occurs, realizing the substitution X_i -> 1.
+   When a coefficient is complex, state s becomes rows 2s and 2s+1 and
+   a + b*i the block [[a, -b], [b, a]], a ring homomorphism, so the solve
+   stays over ``int``;
 4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order in one
    pass over the rows from last to first: the z^0 part is strictly upper
    triangular, so this is a back-substitution.  The z^m coefficient of entry
-   (start, start) is then tau(q(s)^m) for every m <= M (the imaginary part
-   one row below the real part);
-5. recovers tau(p(s)^m) by the binomial theorem in c.
+   (start, start) is then tau((lam*q)(s)^m) for every m <= M (the imaginary
+   part one row below the real part);
+5. recovers tau((lam*p)(s)^m) by the binomial theorem in lam*c, over ``int``
+   pairs and only the orders j with tau((lam*q)^j) != 0, and divides each
+   order once by lam^m.  A constant p has no words: the automaton is empty
+   (N = 0) and only the (lam*c)^m term remains.
 
 ``build_zq_star``, ``reduce_rep`` and ``iterate_system`` are the paper's
 route through dense matrices of ``ZPoly`` entries cut after z^M and
@@ -27,7 +32,8 @@ reference that the stabilization checks run, and ``_sparse_rows`` feeds them
 to the kernel in ``int`` when every entry is a real integer and in ``Scalar``
 otherwise.
 
-Everything is exact; the returned moments are Scalars.
+Everything is exact; the returned moments are Scalars, built once per
+order from two ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import _kernel
 # build_zq_star: the paper's builder, kept here as the reference route
 from .linrep import LinearRepresentation, build_zq_star  # noqa: F401
-from .ncpoly import NCPolynomial, split_constant
-from .scalar import ONE, Scalar
+from .ncpoly import NCPolynomial
+from .scalar import Scalar
 from .series import ZPoly
 
 ReducedMats = List[List[List[ZPoly]]]
@@ -108,41 +114,43 @@ def _sparse_rows(mats: ReducedMats):
     return sparse
 
 
-def build_trie_rows(q: NCPolynomial) -> Tuple[List[dict], int, int]:
+def build_trie_rows(terms) -> Tuple[List[dict], int, int]:
     """Kernel rows of (z*q)* on the prefix trie of q's words.
 
-    q must be constant-free, nonzero and have Gaussian-integer coefficients.
-    Returns the per-variable rows (row -> [(col, z-coefficient tuple)]), the
-    state count N = 1 + #prefixes, and the block width: 1, or 2 when some
-    coefficient is complex and every state s spans rows 2s, 2s+1.  Prefix
-    states come first, parents before children, then the start state N - 1,
-    which is also the final state: each word's last edge goes back into it.
-    Every z^0 edge goes to a higher state, since only edges leaving the start
+    ``terms`` lists q's terms as ``(word, re, im)`` with nonempty words and
+    ``int`` parts, as ``NCPolynomial.integer_terms`` gives them once the
+    constant is set aside.  Returns the rows of each letter that occurs
+    (row -> [(col, z-coefficient tuple)]), the state count N = 1 + #prefixes
+    (0 without terms), and the block width: 1, or 2 when some coefficient is
+    complex and every state s spans rows 2s, 2s+1.  Prefix states come
+    first, parents before children, then the start state N - 1, which is
+    also the final state: each word's last edge goes back into it.  Every
+    z^0 edge goes to a higher state, since only edges leaving the start
     state, which carry z, can end on or below their source.
     """
-    terms = list(q.terms())
-    block = 2 if any(c.im for _, c in terms) else 1
+    block = 2 if any(im for _, _, im in terms) else 1
     states = {}  # proper nonempty prefix -> state, in creation order
-    for word, _ in terms:
+    for word, _, _ in terms:
         for j in range(1, len(word)):
             states.setdefault(word[:j], len(states))
     start = states[()] = len(states)
-    edges = {}  # (letter, src, dst) -> coefficient
-    for word, c in terms:
+    edges = {}  # (letter, src, dst) -> (re, im)
+    for word, re, im in terms:
         for j in range(1, len(word)):
-            edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = ONE
-        edges[word[-1], states[word[:-1]], start] = c
-    rows: List[dict] = [{} for _ in range(q.n_vars)]
-    for (letter, src, dst), c in edges.items():
-        re, im = c.re.numerator, c.im.numerator
+            edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = (1, 0)
+        edges[word[-1], states[word[:-1]], start] = (re, im)
+    rows = {}  # letter -> row -> [(col, z-coefficient tuple)]
+    for (letter, src, dst), (re, im) in edges.items():
+        letter_rows = rows.setdefault(letter, {})
         block_rows = ((re, -im), (im, re)) if block == 2 else ((re,),)
         for dr, parts in enumerate(block_rows):
-            row = rows[letter - 1].setdefault(block * src + dr, [])
+            row = letter_rows.setdefault(block * src + dr, [])
             for dc, x in enumerate(parts):
                 if x:
                     # every edge leaving the start state carries one z
                     row.append((block * dst + dc, (0, x) if src == start else (x,)))
-    return rows, start + 1, block
+    # a constant p has no words, hence no states
+    return list(rows.values()), start + 1 if terms else 0, block
 
 
 def iterate_system(
@@ -163,24 +171,16 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     """All moments tau(p(s_1,...,s_n)^m) for m = 1..max_order, exactly."""
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
-    c, q = split_constant(p)
-    if q.is_zero():
-        values = tuple(c ** m for m in range(1, max_order + 1))
-        return MomentVector(values, 0, p.n_vars, p.degree, p.n_terms)
-
-    # clear denominators so the solve runs on integers;
-    # tau(q^m) = tau((lam*q)^m) / lam^m undoes the scaling exactly
-    lam = math.lcm(
-        *(
-            d
-            for _, coeff in q.terms()
-            for d in (coeff.re.denominator, coeff.im.denominator)
-        )
-    )
-    rows, n_states, block = build_trie_rows(q.scale(lam) if lam != 1 else q)
+    # clear every denominator, the constant's included, so the whole path
+    # runs on integers: tau(p^m) = tau((lam*p)^m) / lam^m
+    lam, terms = p.integer_terms()
+    c_re = c_im = 0
+    if terms and not terms[0][0]:  # the constant sorts first
+        _, c_re, c_im = terms.pop(0)
+    rows, n_states, block = build_trie_rows(terms)
     n_coeffs = max_order + 1
     p_mat = _kernel.solve(rows, block * n_states, n_coeffs)
-    zeros = [0] * n_coeffs
+    zeros = [0] * n_coeffs  # also what a constant p, with no states, reads
     start = block * (n_states - 1)
     re = p_mat.get(start, {}).get(start, zeros)
     im = p_mat.get(start + 1, {}).get(start, zeros) if block == 2 else zeros
@@ -189,22 +189,26 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         raise AssertionError(
             "iteration produced a nonzero constant term at entry (start, start)"
         )
-    tau_q = [ONE]
-    for m in range(1, n_coeffs):
-        lam_m = lam**m
-        tau_q.append(Scalar(Fraction(re[m], lam_m), Fraction(im[m], lam_m)))
-
+    # tau((lam*p)^m) = sum_j C(m, j) (lam*c)^(m-j) tau((lam*q)^j) over int
+    # pairs, with only the j whose tau((lam*q)^j) is nonzero summed (a
+    # constant p has just j = 0); each order is then divided once
+    taus = [(0, 1, 0)]  # (j, re, im) for each nonzero tau((lam*q)^j), j < m
+    c_pows = [(1, 0)]  # (lam*c)^k
     values = []
-    for m in range(1, max_order + 1):
-        if c:
-            acc = tau_q[m]
-            c_pow = ONE
-            for k in range(1, m + 1):
-                c_pow = c_pow * c
-                acc = acc + Scalar(math.comb(m, k)) * c_pow * tau_q[m - k]
-            values.append(acc)
-        else:
-            values.append(tau_q[m])
+    for m in range(1, n_coeffs):
+        x, y = re[m], im[m]
+        if c_re or c_im:
+            a, b = c_pows[-1]
+            c_pows.append((a * c_re - b * c_im, a * c_im + b * c_re))
+            for j, t_re, t_im in taus:
+                a, b = c_pows[m - j]
+                binom = math.comb(m, j)
+                x += binom * (a * t_re - b * t_im)
+                y += binom * (a * t_im + b * t_re)
+        if re[m] or im[m]:
+            taus.append((m, re[m], im[m]))
+        den = lam**m
+        values.append(Scalar(Fraction(x, den), Fraction(y, den)))
     return MomentVector(tuple(values), n_states, p.n_vars, p.degree, p.n_terms)
 
 

@@ -23,8 +23,9 @@ exceed ``MAX_PARSE_TERMS`` terms, ``MAX_PARSE_DEGREE`` in degree or
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import ParseCapExceededError, PolyParseError, VariableMismatchError
 from .scalar import ONE, ZERO, Scalar
@@ -111,6 +112,14 @@ class NCPolynomial:
         """Terms in storage order, without the sort of ``terms()``; for
         results that do not depend on the order, such as exact sums."""
         return self._terms.items()
+
+    def integer_terms(self) -> Tuple[int, List[Tuple[Word, int, int]]]:
+        """``(lam, [(word, re, im)])``: lam*p in canonical term order, with int
+        parts and lam the least common multiple of every denominator, the
+        constant's included.  The zero polynomial gives ``(1, [])``."""
+        terms = list(self.terms())
+        lam = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
+        return lam, [(w, int(c.re * lam), int(c.im * lam)) for w, c in terms]
 
     def coefficient(self, word: Word) -> Scalar:
         return self._terms.get(tuple(word), ZERO)

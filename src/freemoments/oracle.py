@@ -144,12 +144,12 @@ def brute_moment(
     engine avoids.  Requests whose raw expansion exceeds ``expansion_cap``
     are refused (``check_expansion_cap``).
 
-    The expansion runs on integers only.  With lam the least common multiple
-    of the denominators of p's coefficients, (lam*p)^m is expanded by square
-    and multiply over a map from word to ``int``, or to an ``(re, im)`` pair
-    of ``int``s when a coefficient is not real.  The pairing counts of its
-    even-length words weight an integer sum, which is divided by lam^m once
-    at the end.
+    The expansion runs on integers only.  With lam and the integer
+    coefficients of lam*p from ``NCPolynomial.integer_terms``, (lam*p)^m is
+    expanded by square and multiply over a map from word to ``int``, or to
+    an ``(re, im)`` pair of ``int``s when a coefficient is not real.  The
+    pairing counts of its even-length words weight an integer sum, which is
+    divided by lam^m once at the end.
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
@@ -159,17 +159,14 @@ def brute_moment(
         return ZERO
     check_expansion_cap(p, m, expansion_cap)
     max_len = max(WORD_MOMENT_CAP, p.degree * m)
-    terms = p.unordered_terms()
-    lam = math.lcm(
-        *(part.denominator for _, c in terms for part in (c.re, c.im))
-    )
-    gaussian = any(c.im for _, c in terms)
+    lam, terms = p.integer_terms()
+    gaussian = any(im for _, _, im in terms)
     if gaussian:
         mul = _mul_gaussian
-        base = {w: (int(c.re * lam), int(c.im * lam)) for w, c in terms}
+        base = {w: (re, im) for w, re, im in terms}
     else:
         mul = _mul_int
-        base = {w: int(c.re * lam) for w, c in terms}
+        base = {w: re for w, re, _ in terms}
     # square and multiply; the factors are powers of lam*p, so they commute
     power = None
     n = m

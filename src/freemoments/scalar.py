@@ -7,9 +7,10 @@ be compared with ``==`` instead of tolerances.  Floating-point values are
 rejected everywhere.
 
 The public constructor ``Scalar(re, im)`` validates and converts its
-arguments.  Arithmetic results are built by ``_make`` from parts that are
-already ``Fraction``s (a ``Fraction`` combined with a ``Fraction`` or an
-``int`` is again a ``Fraction``), so they skip that check.  An ``int``
+arguments; a part whose class is exactly ``Fraction`` is kept as it is.
+Arithmetic results are built by ``_make`` from parts that are already
+``Fraction``s (a ``Fraction`` combined with a ``Fraction`` or an ``int`` is
+again a ``Fraction``), so they skip that check.  An ``int``
 operand of ``+`` or ``*`` is combined with the parts directly, since the
 kernel's cells start as ``int`` zeros; operands of any other type go through
 ``_coerce`` first, which refuses floats.
@@ -24,6 +25,8 @@ _RationalLike = "int | Fraction | str"
 
 
 def _as_fraction(value) -> Fraction:
+    if value.__class__ is Fraction:
+        return value  # already in normal form; Fraction(value) would copy it
     if isinstance(value, float):
         raise TypeError(
             "floating-point values are not allowed; use int, Fraction or a "

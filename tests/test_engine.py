@@ -100,6 +100,32 @@ def test_moments_constant_polynomial():
     mv = moments(parse_polynomial("7", 1), 3)
     assert [str(v) for v in mv.values] == ["7", "49", "343"]
     assert mv.rep_dim == 0
+    # a constant has no words, so the automaton is empty and tau(c^m) = c^m
+    for text in ("0", "1/3", "2 + i"):
+        c = parse_polynomial(text, 1).coefficient(())
+        mv = moments(parse_polynomial(text, 1), 6)
+        assert mv.rep_dim == 0
+        assert mv.values == tuple(c**m for m in range(1, 7)), text
+    # one term per order: summing over every k <= m instead would make the
+    # top order cost O(M^2) bigint products
+    mv = moments(parse_polynomial("2 + i", 1), MAX_ORDER)
+    assert mv.values[-1] == Scalar(2, 1) ** MAX_ORDER
+
+
+def test_moments_memory_independent_of_unused_variables():
+    # rows exist only for the letters that occur, so a million declared
+    # variables cost nothing (one row dict each used to take about 200 MB)
+    import tracemalloc
+
+    p = parse_polynomial("x1", 10**6)
+    tracemalloc.start()
+    try:
+        mv = moments(p, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [str(v) for v in mv.values] == ["0", "1"]
+    assert peak < 20 * 2**20
 
 
 def test_moments_shifted_variable():
@@ -212,6 +238,24 @@ def test_closed_forms_past_oracle_reach():
             for k in range(m // 2 + 1)
         )
         assert mv.value(m) == Scalar(expected), m
+    # lam = 3 comes from the constant alone
+    mv = moments(parse_polynomial("x1 + 1/3", 1), 30)
+    for m in range(1, 31):
+        expected = sum(
+            math.comb(m, 2 * k) * Fraction(1, 3) ** (m - 2 * k) * catalan(k)
+            for k in range(m // 2 + 1)
+        )
+        assert mv.value(m) == Scalar(expected), m
+    # a complex constant with a real q: the recombination's im part
+    i = Scalar(0, 1)
+    mv = moments(parse_polynomial("x1 + i", 1), 24)
+    for m in range(1, 25):
+        expected = sum(
+            (math.comb(m, 2 * k) * catalan(k) * i ** (m - 2 * k)
+             for k in range(m // 2 + 1)),
+            Scalar(0),
+        )
+        assert mv.value(m) == expected, m
 
 
 def test_iterate_order_zero():

@@ -121,6 +121,12 @@ def test_split_constant_examples():
     assert q.coefficient(()) == Scalar(0)
 
 
+def test_integer_terms():
+    p = parse_polynomial("1/2*x1 + 1/3*i*x2 - 5/6", 2)
+    assert p.integer_terms() == (6, [((), -5, 0), ((1,), 3, 0), ((2,), 0, 2)])
+    assert NCPolynomial.zero(1).integer_terms() == (1, [])
+
+
 def test_multiply_examples():
     x1 = NCPolynomial.variable(2, 1)
     x2 = NCPolynomial.variable(2, 2)

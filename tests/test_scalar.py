@@ -24,6 +24,14 @@ def test_floats_rejected():
         Scalar(1, 0.25)
 
 
+def test_fraction_parts_kept():
+    # a part whose class is exactly Fraction is stored as given, not copied
+    half = Fraction(1, 2)
+    s = Scalar(half, half)
+    assert s.re is half and s.im is half
+    assert Scalar(Fraction(2, 4)) == Scalar(half)
+
+
 def test_basic_arithmetic():
     a = Scalar(Fraction(1, 2), 1)
     b = Scalar(3, Fraction(-1, 3))
