@@ -2,10 +2,13 @@
 
 The fixed-point system P = sum_i (mu_i (P + I))^2 is solved here on plain
 Python lists of the length-(M+1) series coefficients.  ``solve`` works over
-``int`` (denominators cleared, complex coefficients written as 2x2 integer
-blocks).  ``iterate`` also takes ``Scalar`` entries from the reference
-``iterate_system``: new cells start as ``int`` zeros either way, and a
-``Scalar`` combines with them through ``__radd__`` and ``__rmul__``.
+``int``, with denominators cleared; a complex weight arrives already
+encoded as one ``int`` of Z/(r^2 + 1) (see ``engine``), and ``solve`` then
+reduces every cell modulo n = r^2 + 1 once its order is done, so cells stay
+within n/2 in absolute value instead of growing like r^k.  ``iterate`` also
+takes ``Scalar`` entries from the reference ``iterate_system``: new cells
+start as ``int`` zeros either way, and a ``Scalar`` combines with them
+through ``__radd__`` and ``__rmul__``.
 
 The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
 of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
@@ -106,12 +109,14 @@ def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
     return p.get(0, {}).get(dim - 1, [0] * n_coeffs)
 
 
-def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
+def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
     """Solve for P over ``int`` by back-substitution, one order at a time.
 
     Every z^0 entry (j, t) of the mu_i must have t > j; otherwise
-    ``AssertionError`` is raised before any arithmetic.  Returns P as sparse
-    rows.
+    ``AssertionError`` is raised before any arithmetic.  With a ``modulus``
+    n, every cell of P and of the A_i written at order k is brought back
+    into (-n/2, n/2] once order k is done, so P is exact modulo n.  Returns
+    P as sparse rows.
     """
     for mu in mats:
         for j, entries in mu.items():
@@ -123,8 +128,15 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int) -> dict:
                     )
     p: dict = {}
     pairs = [(mu, {}) for mu in mats]  # (mu_i, A_i)
+    half = (modulus - 1) // 2
     for k in range(n_coeffs):
         for j in range(dim - 1, -1, -1):
             _a_row(pairs, p, j, k, n_coeffs)
             _p_row(pairs, p, j, k, n_coeffs)
+        if modulus:
+            for mat in (p, *(a for _, a in pairs)):
+                for row in mat.values():
+                    for cell in row.values():
+                        if cell[k]:
+                            cell[k] = (cell[k] + half) % modulus - half
     return p

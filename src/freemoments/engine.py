@@ -12,15 +12,28 @@ Given a noncommutative polynomial p and a target order M, the engine
    edge, which goes back into the start state (the star);
 3. writes the automaton straight into sparse kernel rows over plain ``int``,
    one set per letter that occurs, realizing the substitution X_i -> 1.
-   When a coefficient is complex, state s becomes rows 2s and 2s+1 and
-   a + b*i the block [[a, -b], [b, a]], a ring homomorphism, so the solve
-   stays over ``int``;
+   When a coefficient is complex, a + b*i is written as the single int
+   a + b*r of Z/(r^2 + 1), with r = 2^S: since r^2 = -1 there, this is a
+   ring homomorphism from the Gaussian integers (Kronecker substitution),
+   so the solve keeps N rows and does one int product per complex product;
 4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order in one
    pass over the rows from last to first: the z^0 part is strictly upper
    triangular, so this is a back-substitution.  The z^m coefficient of entry
-   (start, start) is then tau((lam*q)(s)^m) for every m <= M (the imaginary
-   part one row below the real part);
-5. recovers tau((lam*p)(s)^m) by the binomial theorem in lam*c, over ``int``
+   (start, start) is then tau((lam*q)(s)^m) for every m <= M.  For complex
+   input the solve runs modulo n = r^2 + 1, and the entry, taken in
+   (-n/2, n/2], is Re + Im*r exactly: ||s_i|| = 2 bounds
+   |tau((lam*q)^m)| by B^m, B = sum_w (|re| + |im|) 2^|w|, and
+   S = M*bitlen(B) + 2 makes r/2 exceed B^M, so Im = round(v / r) and
+   Re = v - Im*r.  The cost is that every cell carries about 2S bits from
+   order 0 on, where a real input's cells grow with the order: dense inputs
+   run several times faster than with Re and Im in separate rows, but a
+   sparse P at high M (``x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1`` at
+   M = 160) runs about 1.6 times slower;
+5. checks, for every order, the norm bound Re^2 + Im^2 <= B^(2m) on
+   tau((lam*q)^m), and that every moment is real when p is self-adjoint:
+   O(M) int operations that also guard the decode (a violation raises
+   ``AssertionError`` naming the order);
+6. recovers tau((lam*p)(s)^m) by the binomial theorem in lam*c, over ``int``
    pairs and only the orders j with tau((lam*q)^j) != 0, and divides each
    order once by lam^m.  A constant p has no words: the automaton is empty
    (N = 0) and only the (lam*c)^m term remains.
@@ -64,8 +77,8 @@ class MomentVector:
     """Moments tau(p(s)^m) for m = 1..M plus a few size statistics."""
 
     values: Tuple[Scalar, ...]
-    rep_dim: int        # N states of the trie automaton (not doubled for
-                        # complex inputs), or 0 when p was constant
+    rep_dim: int        # N states of the trie automaton, or 0 when p was
+                        # constant
     n_vars: int
     degree: int
     n_terms: int
@@ -114,43 +127,36 @@ def _sparse_rows(mats: ReducedMats):
     return sparse
 
 
-def build_trie_rows(terms) -> Tuple[List[dict], int, int]:
+def build_trie_rows(terms) -> Tuple[List[dict], int]:
     """Kernel rows of (z*q)* on the prefix trie of q's words.
 
-    ``terms`` lists q's terms as ``(word, re, im)`` with nonempty words and
-    ``int`` parts, as ``NCPolynomial.integer_terms`` gives them once the
-    constant is set aside.  Returns the rows of each letter that occurs
-    (row -> [(col, z-coefficient tuple)]), the state count N = 1 + #prefixes
-    (0 without terms), and the block width: 1, or 2 when some coefficient is
-    complex and every state s spans rows 2s, 2s+1.  Prefix states come
-    first, parents before children, then the start state N - 1, which is
-    also the final state: each word's last edge goes back into it.  Every
-    z^0 edge goes to a higher state, since only edges leaving the start
-    state, which carry z, can end on or below their source.
+    ``terms`` lists q's terms as ``(word, weight)`` with nonempty words and
+    nonzero ``int`` weights.  Returns the rows of each letter that occurs
+    (row -> [(col, z-coefficient tuple)]) and the state count
+    N = 1 + #prefixes (0 without terms).  Prefix states come first, parents
+    before children, then the start state N - 1, which is also the final
+    state: each word's last edge goes back into it.  Every z^0 edge goes to
+    a higher state, since only edges leaving the start state, which carry
+    z, can end on or below their source.
     """
-    block = 2 if any(im for _, _, im in terms) else 1
     states = {}  # proper nonempty prefix -> state, in creation order
-    for word, _, _ in terms:
+    for word, _ in terms:
         for j in range(1, len(word)):
             states.setdefault(word[:j], len(states))
     start = states[()] = len(states)
-    edges = {}  # (letter, src, dst) -> (re, im)
-    for word, re, im in terms:
+    edges = {}  # (letter, src, dst) -> weight
+    for word, weight in terms:
         for j in range(1, len(word)):
-            edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = (1, 0)
-        edges[word[-1], states[word[:-1]], start] = (re, im)
+            edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = 1
+        edges[word[-1], states[word[:-1]], start] = weight
     rows = {}  # letter -> row -> [(col, z-coefficient tuple)]
-    for (letter, src, dst), (re, im) in edges.items():
-        letter_rows = rows.setdefault(letter, {})
-        block_rows = ((re, -im), (im, re)) if block == 2 else ((re,),)
-        for dr, parts in enumerate(block_rows):
-            row = letter_rows.setdefault(block * src + dr, [])
-            for dc, x in enumerate(parts):
-                if x:
-                    # every edge leaving the start state carries one z
-                    row.append((block * dst + dc, (0, x) if src == start else (x,)))
+    for (letter, src, dst), weight in edges.items():
+        # every edge leaving the start state carries one z
+        rows.setdefault(letter, {}).setdefault(src, []).append(
+            (dst, (0, weight) if src == start else (weight,))
+        )
     # a constant p has no words, hence no states
-    return list(rows.values()), start + 1 if terms else 0, block
+    return list(rows.values()), start + 1 if terms else 0
 
 
 def iterate_system(
@@ -174,17 +180,25 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     # clear every denominator, the constant's included, so the whole path
     # runs on integers: tau(p^m) = tau((lam*p)^m) / lam^m
     lam, terms = p.integer_terms()
+    # p = p* term by term: reverse each word and conjugate (lam is real)
+    parts = {w: (re, im) for w, re, im in terms}
+    self_adjoint = all(parts.get(w[::-1]) == (re, -im) for w, re, im in terms)
     c_re = c_im = 0
     if terms and not terms[0][0]:  # the constant sorts first
         _, c_re, c_im = terms.pop(0)
-    rows, n_states, block = build_trie_rows(terms)
+    # |tau((lam*q)^m)| <= B^m, since ||s_i|| = 2
+    bound = sum((abs(re) + abs(im)) << len(w) for w, re, im in terms)
+    # a complex lam*q runs as one int per weight in Z/(r^2 + 1), where
+    # r^2 = -1; r/2 > B^M makes the read-back exact
+    shift = max_order * bound.bit_length() + 2
+    r = 1 << shift if any(im for _, _, im in terms) else 0
+    modulus = r * r + 1 if r else 0
+    rows, n_states = build_trie_rows([(w, re + im * r) for w, re, im in terms])
     n_coeffs = max_order + 1
-    p_mat = _kernel.solve(rows, block * n_states, n_coeffs)
-    zeros = [0] * n_coeffs  # also what a constant p, with no states, reads
-    start = block * (n_states - 1)
-    re = p_mat.get(start, {}).get(start, zeros)
-    im = p_mat.get(start + 1, {}).get(start, zeros) if block == 2 else zeros
-    if re[0] or im[0]:
+    p_mat = _kernel.solve(rows, n_states, n_coeffs, modulus)
+    start = n_states - 1
+    entry = p_mat.get(start, {}).get(start, [0] * n_coeffs)
+    if entry[0]:
         # every path out of the start state carries at least one factor of z
         raise AssertionError(
             "iteration produced a nonzero constant term at entry (start, start)"
@@ -194,19 +208,36 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     # constant p has just j = 0); each order is then divided once
     taus = [(0, 1, 0)]  # (j, re, im) for each nonzero tau((lam*q)^j), j < m
     c_pows = [(1, 0)]  # (lam*c)^k
+    norm_bound = 1  # B^(2m)
     values = []
     for m in range(1, n_coeffs):
-        x, y = re[m], im[m]
+        t_re, t_im = entry[m], 0
+        if r:
+            # the solve leaves entry[m] in (-n/2, n/2], where it equals
+            # Re + Im*r exactly
+            t_im = (t_re + (r >> 1)) >> shift  # round(entry[m] / r)
+            t_re -= t_im * r
+        norm_bound *= bound * bound
+        if t_re * t_re + t_im * t_im > norm_bound:
+            raise AssertionError(
+                f"order {m}: tau((lam*q)^{m}) exceeds the norm bound B^{m}, "
+                f"B = {bound}"
+            )
+        x, y = t_re, t_im
         if c_re or c_im:
             a, b = c_pows[-1]
             c_pows.append((a * c_re - b * c_im, a * c_im + b * c_re))
-            for j, t_re, t_im in taus:
+            for j, u_re, u_im in taus:
                 a, b = c_pows[m - j]
                 binom = math.comb(m, j)
-                x += binom * (a * t_re - b * t_im)
-                y += binom * (a * t_im + b * t_re)
-        if re[m] or im[m]:
-            taus.append((m, re[m], im[m]))
+                x += binom * (a * u_re - b * u_im)
+                y += binom * (a * u_im + b * u_re)
+        if self_adjoint and y:
+            raise AssertionError(
+                f"order {m}: the moment of a self-adjoint polynomial is not real"
+            )
+        if t_re or t_im:
+            taus.append((m, t_re, t_im))
         den = lam**m
         values.append(Scalar(Fraction(x, den), Fraction(y, den)))
     return MomentVector(tuple(values), n_states, p.n_vars, p.degree, p.n_terms)

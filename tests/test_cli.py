@@ -1,4 +1,5 @@
 import json
+import math
 
 from freemoments import Scalar
 from freemoments.cli import main
@@ -289,13 +290,57 @@ def test_kernel_invariant_exit_3(capsys, monkeypatch):
 
     def cyclic(q):
         # a z^0 self-loop on the start state makes the fixed-point solve
-        # diverge: one variable, two states, block width 1
-        return [{0: [(0, (1,))]}], 2, 1
+        # diverge: one variable, two states
+        return [{0: [(0, (1,))]}], 2
 
     monkeypatch.setattr(engine_module, "build_trie_rows", cyclic)
     code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
     assert code == 3
     assert "not nilpotent" in err
+
+
+def test_norm_bound_violation_exit_3(capsys, monkeypatch):
+    import freemoments._kernel as kernel_module
+
+    def out_of_bound(mats, dim, n_coeffs, modulus=0):
+        # |tau(s^2)| <= ||s||^2 = 4, but order 2 reads 5
+        start = dim - 1
+        return {start: {start: [0, 0, 5] + [0] * (n_coeffs - 3)}}
+
+    monkeypatch.setattr(kernel_module, "solve", out_of_bound)
+    code, out, err = run(capsys, "moments", "--poly", "x1", "--max-order", "3")
+    assert code == 3
+    assert out == ""
+    assert "order 2" in err and "norm bound" in err
+    # the same guard catches a wrong decode of a complex weight: order 1
+    # reads r + 3, i.e. tau = 3 + i where |tau(i*s)| <= 2 allows no real part
+    def off_by_three(mats, dim, n_coeffs, modulus=0):
+        r = math.isqrt(modulus - 1)
+        start = dim - 1
+        return {start: {start: [0, r + 3] + [0] * (n_coeffs - 2)}}
+
+    monkeypatch.setattr(kernel_module, "solve", off_by_three)
+    code, _, err = run(capsys, "moments", "--poly", "i*x1", "--max-order", "2")
+    assert code == 3
+    assert "order 1" in err and "norm bound" in err
+
+
+def test_self_adjoint_moment_not_real_exit_3(capsys, monkeypatch):
+    import freemoments._kernel as kernel_module
+
+    def imaginary(mats, dim, n_coeffs, modulus=0):
+        # i*x1*x2 - i*x2*x1 is self-adjoint; order 2 reads tau = i
+        r = math.isqrt(modulus - 1)
+        start = dim - 1
+        return {start: {start: [0, 0, r] + [0] * (n_coeffs - 3)}}
+
+    monkeypatch.setattr(kernel_module, "solve", imaginary)
+    code, _, err = run(
+        capsys, "moments", "--poly", "i*x1*x2 - i*x2*x1", "--n-vars", "2",
+        "--max-order", "3",
+    )
+    assert code == 3
+    assert "order 2" in err and "not real" in err
 
 
 def test_keyboard_interrupt_exit_130(capsys, monkeypatch):

@@ -144,7 +144,7 @@ def test_moments_metadata():
 
 
 def test_moments_metadata_complex():
-    # complex coefficients double the kernel rows, not the reported N:
+    # a complex weight is one int, so N is that of the real twin:
     # prefixes x1 and x2, then the start state, which is also final
     mv = moments(parse_polynomial("i*x1*x2 - i*x2*x1", 2), 6)
     assert mv.rep_dim == 3
@@ -190,6 +190,72 @@ def test_solve_rejects_z0_cycle():
             _kernel.solve(mats, 2, 3)
 
 
+def test_solve_modulus_congruent_to_plain_solve():
+    # seeded random rows with a strictly upper triangular z^0 part: reducing
+    # each order modulo n keeps every cell congruent to the exact solve and
+    # inside (-n/2, n/2]
+    import random
+
+    rng = random.Random(1101)
+    for case in range(40):
+        dim = rng.randint(1, 6)
+        n_coeffs = rng.randint(1, 6)
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            rows = {}
+            for j in range(dim):
+                entries = []
+                for t in range(dim):
+                    if rng.random() < 0.5:
+                        z0 = rng.randint(-5, 5) if t > j else 0
+                        z1 = rng.randint(-5, 5)
+                        if z0 or z1:
+                            entries.append((t, (z0, z1)))
+                if entries:
+                    rows[j] = entries
+            mats.append(rows)
+        plain = _kernel.solve(mats, dim, n_coeffs)
+        for modulus in (2, 97, 1000, 2**40 + 1):
+            reduced = _kernel.solve(mats, dim, n_coeffs, modulus)
+            zeros = [0] * n_coeffs
+            for j in set(plain) | set(reduced):
+                row, row_mod = plain.get(j, {}), reduced.get(j, {})
+                for l in set(row) | set(row_mod):
+                    exact, cell = row.get(l, zeros), row_mod.get(l, zeros)
+                    for k in range(n_coeffs):
+                        assert (exact[k] - cell[k]) % modulus == 0, (case, modulus)
+                        assert -modulus < 2 * cell[k] <= modulus, (case, modulus)
+
+
+def test_complex_decode():
+    # (2+3i) s is normal with tau(((2+3i) s)^m) = (2+3i)^m Catalan(m/2)
+    c = Scalar(2, 3)
+    mv = moments(parse_polynomial("(2+3*i)*x1", 1), 40)
+    quadrants = set()
+    for m in range(1, 41):
+        expected = c**m * catalan(m // 2) if m % 2 == 0 else Scalar(0)
+        assert mv.value(m) == expected, m
+        re, im = mv.value(m).re, mv.value(m).im
+        if re and im:
+            quadrants.add((re > 0, im > 0))
+    # the decode splits v = a + b*r with every sign pattern of (a, b)
+    assert len(quadrants) == 4
+    # a real word beside a complex one, against the oracle
+    p = parse_polynomial("(-5+7*i)*x1 + x1*x2*x1", 2)
+    mv = moments(p, 8)
+    for m in range(1, 9):
+        assert mv.value(m) == brute_moment(p, m), m
+    # i s^2 at M = 41: tau = i^m Catalan(m), and at m = 41 |Im| is within
+    # a factor 500 of the norm bound B^M = 4^41 the decode is sized for
+    i = Scalar(0, 1)
+    mv = moments(parse_polynomial("i*x1^2", 1), 41)
+    for m in range(1, 42):
+        assert mv.value(m) == i**m * catalan(m), m
+    top = mv.value(41).im
+    assert top == catalan(41)
+    assert 4**41 > top > 4**41 // 500
+
+
 def test_moments_matches_oracle_smoke():
     polys = [
         ("x1^2 - 2", 1),
@@ -225,7 +291,7 @@ def test_closed_forms_past_oracle_reach():
     for m in range(1, 65):
         expected = 2 ** (m // 2) * catalan(m // 2) if m % 2 == 0 else 0
         assert mv.value(m) == Scalar(expected), m
-    # a complex coefficient: the answer is read from the start state's 2x2 block
+    # a complex coefficient: the answer is decoded from one int of Z/(r^2 + 1)
     mv = moments(parse_polynomial("i*x1", 1), 40)
     for m in range(1, 41):
         expected = (-1) ** (m // 2) * catalan(m // 2) if m % 2 == 0 else 0
@@ -256,6 +322,15 @@ def test_closed_forms_past_oracle_reach():
             Scalar(0),
         )
         assert mv.value(m) == expected, m
+    # Nica-Speicher: the commutator i(s1 s2 - s2 s1) and the anticommutator
+    # s1 s2 + s2 s1 have the same distribution
+    commutator = moments(parse_polynomial("i*x1*x2 - i*x2*x1", 2), 64)
+    anticommutator = moments(parse_polynomial("x1*x2 + x2*x1", 2), 64)
+    assert commutator.values == anticommutator.values
+    # Fuss-Catalan: tau((s1 s2^2 s1)^m) = C(3m, m) / (2m + 1)
+    mv = moments(parse_polynomial("x1*x2^2*x1", 2), 40)
+    for m in range(1, 41):
+        assert mv.value(m) == Scalar(math.comb(3 * m, m) // (2 * m + 1)), m
 
 
 def test_iterate_order_zero():
