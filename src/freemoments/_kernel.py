@@ -6,9 +6,10 @@ Python lists of the length-(M+1) series coefficients.  ``solve`` works over
 encoded as one ``int`` of Z/(r^2 + 1) (see ``engine``), and ``solve`` then
 reduces every cell modulo n = r^2 + 1 once its order is done, so cells stay
 within n/2 in absolute value instead of growing like r^k.  ``iterate`` also
-takes ``Scalar`` entries from the reference ``iterate_system``: new cells
-start as ``int`` zeros either way, and a ``Scalar`` combines with them
-through ``__radd__`` and ``__rmul__``.
+takes ``Scalar`` entries from ``reference.iterate_system``: new cells start
+as ``int`` zeros either way, and a ``Scalar`` combines with them through
+``__radd__`` and ``__rmul__``.  This module imports nothing from
+``reference``.
 
 The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
 of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
@@ -17,12 +18,13 @@ result: it is classical matrix multiplication with zero blocks skipped.
 
 The arithmetic lives in two helpers: ``_a_row`` adds one order of one row
 to every A_i, and ``_p_row`` the same order and row of sum_i A_i^2 to P.
-``iterate`` is the paper's sweep, kept as the reference: it runs them on
-every row and order, ``steps`` times from P = 0.  ``solve`` runs them once
-per row and order.  Order k of P depends on P[0..k-1] and on P[k] only through the z^0 part of
-the mu_i; when that part is strictly upper triangular, row j of order k
-reads only higher rows of order k, so taking the rows from last to first is
-a back-substitution and every value is final when it is written.
+``iterate`` is the paper's sweep, which only the reference route calls: it
+runs them on every row and order, ``steps`` times from P = 0.  ``solve``
+runs them once per row and order.  Order k of P depends on P[0..k-1] and
+on P[k] only through the z^0 part of the mu_i; when that part is strictly
+upper triangular, row j of order k reads only higher rows of order k, so
+taking the rows from last to first is a back-substitution and every value
+is final when it is written.
 """
 
 from __future__ import annotations

@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import List, Optional
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
-from .engine import MAX_ORDER, complexity_probe, moments
+from .engine import MAX_ORDER, moments
 from .errors import CapExceededError, ParseCapExceededError, PolyParseError, UsageError
 from .ncpoly import NCPolynomial, infer_variable_count, parse_polynomial
 from .oracle import (
@@ -154,8 +158,17 @@ def _check_max_order(args) -> None:
         )
 
 
-def _approx(value: Scalar) -> dict:
-    return {"re_approx": float(value.re), "im_approx": float(value.im)}
+def _approx(x: Fraction) -> float:
+    """float(x), for display only; inf or -inf outside float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _text_approx(value: Scalar) -> str:
+    re = _approx(value.re)
+    return f"  ~ {complex(re, _approx(value.im)) if value.im else re}"
 
 
 def _cmd_moments(args, out) -> int:
@@ -168,7 +181,10 @@ def _cmd_moments(args, out) -> int:
         for m, value in enumerate(mv.values, start=1):
             row = {"m": m, "re": str(value.re), "im": str(value.im)}
             if args.decimal:
-                row.update(_approx(value))
+                for key, x in (("re_approx", value.re), ("im_approx", value.im)):
+                    approx = _approx(x)
+                    # JSON has no infinity
+                    row[key] = approx if math.isfinite(approx) else None
             rows.append(row)
         doc = {
             "poly": str(poly),
@@ -189,7 +205,7 @@ def _cmd_moments(args, out) -> int:
         for m, value in enumerate(mv.values, start=1):
             line = f"{m},{value.re},{value.im}"
             if args.decimal:
-                line += f",{float(value.re)!r},{float(value.im)!r}"
+                line += f",{_approx(value.re)!r},{_approx(value.im)!r}"
             print(line, file=out)
         return EXIT_OK
 
@@ -205,7 +221,7 @@ def _cmd_moments(args, out) -> int:
     for m, value in enumerate(mv.values, start=1):
         line = f"  m={m}  {value}"
         if args.decimal:
-            line += f"  ~ {value.to_float()}"
+            line += _text_approx(value)
         print(line, file=out)
     k_max = min(mv.max_order, CUMULANT_CAP)
     kappas = free_cumulants(mv.values[:k_max])
@@ -213,7 +229,7 @@ def _cmd_moments(args, out) -> int:
     for k, value in enumerate(kappas, start=1):
         line = f"  k={k}  {value}"
         if args.decimal:
-            line += f"  ~ {value.to_float()}"
+            line += _text_approx(value)
         print(line, file=out)
     return EXIT_OK
 
@@ -269,6 +285,64 @@ def _cmd_verify(args, out) -> int:
         else:
             print(f"PASS (orders 1..{args.max_order} agree exactly)", file=out)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    max_order: int
+    engine_seconds: float
+    naive_seconds: Optional[float]   # None when the naive run was refused
+    naive_capped: bool
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    rows: Tuple[BenchRow, ...]
+    engine_slope: Optional[float] = None
+
+
+def complexity_probe(
+    p: NCPolynomial,
+    orders: Sequence[int],
+    expansion_cap: int = 10**6,
+    include_naive: bool = True,
+) -> BenchReport:
+    """Wall-clock engine timings over a sweep of orders, with the naive
+    expansion timed alongside until it hits the term cap.
+
+    The naive column times the single highest moment (what the expansion
+    method would compute); the engine column times all orders up to M.  The
+    log-log slope of the engine timings is reported, never asserted: bigint
+    coefficient growth makes wall-clock exponents machine-dependent.
+    """
+    rows = []
+    for m in orders:
+        start = time.perf_counter()
+        moments(p, m)
+        engine_seconds = time.perf_counter() - start
+        naive_seconds = None
+        naive_capped = False
+        if include_naive:
+            try:
+                start = time.perf_counter()
+                brute_moment(p, m, expansion_cap)
+                naive_seconds = time.perf_counter() - start
+            except CapExceededError:
+                naive_capped = True
+        rows.append(BenchRow(m, engine_seconds, naive_seconds, naive_capped))
+
+    slope = None
+    pts = [
+        (math.log(r.max_order), math.log(max(r.engine_seconds, 1e-9)))
+        for r in rows
+    ]
+    if len(pts) >= 2:
+        xbar = sum(x for x, _ in pts) / len(pts)
+        ybar = sum(y for _, y in pts) / len(pts)
+        den = sum((x - xbar) ** 2 for x, _ in pts)
+        if den > 0:
+            slope = sum((x - xbar) * (y - ybar) for x, y in pts) / den
+    return BenchReport(tuple(rows), slope)
 
 
 def _cmd_bench(args, out) -> int:

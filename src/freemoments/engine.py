@@ -38,12 +38,9 @@ Given a noncommutative polynomial p and a target order M, the engine
    order once by lam^m.  A constant p has no words: the automaton is empty
    (N = 0) and only the (lam*c)^m term remains.
 
-``build_zq_star``, ``reduce_rep`` and ``iterate_system`` are the paper's
-route through dense matrices of ``ZPoly`` entries cut after z^M and
-T = deg(q)*M full sweeps.  ``moments`` does not use them; they stay as the
-reference that the stabilization checks run, and ``_sparse_rows`` feeds them
-to the kernel in ``int`` when every entry is a real integer and in ``Scalar``
-otherwise.
+The paper's route (its block constructions and the T = deg(q)*M sweep)
+lives in ``reference``, which this module does not import: the tests check
+the engine against it.
 
 Everything is exact; the returned moments are Scalars, built once per
 order from two ``Fraction``s.
@@ -52,19 +49,13 @@ order from two ``Fraction``s.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from . import _kernel
-# build_zq_star: the paper's builder, kept here as the reference route
-from .linrep import LinearRepresentation, build_zq_star  # noqa: F401
 from .ncpoly import NCPolynomial
 from .scalar import Scalar
-from .series import ZPoly
-
-ReducedMats = List[List[List[ZPoly]]]
 
 # the solve keeps length-(M+1) coefficient lists; refuse an M whose lists
 # alone would exhaust memory before any arithmetic (same bound as the
@@ -92,39 +83,6 @@ class MomentVector:
         if not 1 <= m <= self.max_order:
             raise IndexError(f"moment order {m} outside 1..{self.max_order}")
         return self.values[m - 1]
-
-
-def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
-    """Entrywise image of the representation in C[z]/(z^(M+1)): every entry
-    cut after z^M."""
-    n_coeffs = truncation_order + 1
-    return [
-        [[ZPoly(entry.coeffs[:n_coeffs]) for entry in row] for row in mat]
-        for mat in rep.mats
-    ]
-
-
-def _sparse_rows(mats: ReducedMats):
-    """Reduced matrices as kernel input: per-variable sparse rows, with the
-    coefficients as plain ints when every one is a real integer and as
-    Scalars otherwise."""
-    as_int = all(
-        c.is_real() and c.re.denominator == 1
-        for mat in mats for row in mat for entry in row for c in entry.coeffs
-    )
-    sparse = []
-    for mat in mats:
-        rows = {}
-        for j, row in enumerate(mat):
-            entries = [
-                (t, tuple(c.re.numerator for c in e.coeffs) if as_int else e.coeffs)
-                for t, e in enumerate(row)
-                if e
-            ]
-            if entries:
-                rows[j] = entries
-        sparse.append(rows)
-    return sparse
 
 
 def build_trie_rows(terms) -> Tuple[List[dict], int]:
@@ -157,20 +115,6 @@ def build_trie_rows(terms) -> Tuple[List[dict], int]:
         )
     # a constant p has no words, hence no states
     return list(rows.values()), start + 1 if terms else 0
-
-
-def iterate_system(
-    mats: ReducedMats, dim: int, truncation_order: int, iterations: int
-) -> ZPoly:
-    """Iterate P <- sum_i (mu_i (P + I))^2 from P = 0; entry (1, N) of P^T.
-
-    The z^m coefficient of the result equals tau(q(s_1,...,s_n)^m) for
-    1 <= m <= M whenever ``iterations`` >= deg(q)*M.
-    """
-    if iterations < 1:
-        raise ValueError("iteration count must be at least 1")
-    sparse = _sparse_rows(mats)
-    return ZPoly(_kernel.iterate(sparse, dim, truncation_order + 1, iterations))
 
 
 def moments(p: NCPolynomial, max_order: int) -> MomentVector:
@@ -243,66 +187,11 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     return MomentVector(tuple(values), n_states, p.n_vars, p.degree, p.n_terms)
 
 
-# -- benchmark probe ------------------------------------------------------------
+def __getattr__(name):
+    # only for perfbench/spans.py, which still wraps these reference names
+    # here; delete once it wraps the production path (ROADMAP item 1)
+    if name in ("build_zq_star", "reduce_rep", "iterate_system"):
+        from . import reference
 
-
-@dataclass(frozen=True)
-class BenchRow:
-    max_order: int
-    engine_seconds: float
-    naive_seconds: Optional[float]   # None when the naive run was refused
-    naive_capped: bool
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: Tuple[BenchRow, ...]
-    engine_slope: Optional[float] = field(default=None)
-
-
-def complexity_probe(
-    p: NCPolynomial,
-    orders: Sequence[int],
-    expansion_cap: int = 10**6,
-    include_naive: bool = True,
-) -> BenchReport:
-    """Wall-clock engine timings over a sweep of orders, with the naive
-    expansion timed alongside until it hits the term cap.
-
-    The naive column times the single highest moment (what the expansion
-    method would compute); the engine column times all orders up to M.  The
-    log-log slope of the engine timings is reported, never asserted: bigint
-    coefficient growth makes wall-clock exponents machine-dependent.
-    """
-    from .oracle import brute_moment
-    from .errors import CapExceededError
-
-    rows = []
-    for m in orders:
-        start = time.perf_counter()
-        moments(p, m)
-        engine_seconds = time.perf_counter() - start
-        naive_seconds = None
-        naive_capped = False
-        if include_naive:
-            try:
-                start = time.perf_counter()
-                brute_moment(p, m, expansion_cap)
-                naive_seconds = time.perf_counter() - start
-            except CapExceededError:
-                naive_capped = True
-        rows.append(BenchRow(m, engine_seconds, naive_seconds, naive_capped))
-
-    slope = None
-    pts = [
-        (math.log(r.max_order), math.log(max(r.engine_seconds, 1e-9)))
-        for r in rows
-        if r.max_order > 0
-    ]
-    if len(pts) >= 2:
-        xbar = sum(x for x, _ in pts) / len(pts)
-        ybar = sum(y for _, y in pts) / len(pts)
-        den = sum((x - xbar) ** 2 for x, _ in pts)
-        if den > 0:
-            slope = sum((x - xbar) * (y - ybar) for x, y in pts) / den
-    return BenchReport(tuple(rows), slope)
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

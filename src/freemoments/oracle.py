@@ -158,7 +158,6 @@ def brute_moment(
     if p.is_zero():
         return ZERO
     check_expansion_cap(p, m, expansion_cap)
-    max_len = max(WORD_MOMENT_CAP, p.degree * m)
     lam, terms = p.integer_terms()
     gaussian = any(im for _, _, im in terms)
     if gaussian:
@@ -178,11 +177,11 @@ def brute_moment(
             base = mul(base, base)
     if gaussian:
         re = im = 0
-        for k, (c_re, c_im) in _counted_words(power, max_len):
+        for k, (c_re, c_im) in _counted_words(power):
             re += k * c_re
             im += k * c_im
     else:
-        re = sum(k * c for k, c in _counted_words(power, max_len))
+        re = sum(k * c for k, c in _counted_words(power))
         im = 0
     # keep the cached subwords shared across calls, but not without bound
     if _consistent_pairing_count.cache_info().currsize > PAIRING_CACHE_MAX:
@@ -191,7 +190,7 @@ def brute_moment(
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
-def _counted_words(power: Dict[Word, object], max_len: int):
+def _counted_words(power: Dict[Word, object]):
     """(pairing count, coefficient) for each even-length word of ``power``.
 
     The pairing count is tau(w) itself: the recursion returns 0 for a word
@@ -199,13 +198,8 @@ def _counted_words(power: Dict[Word, object], max_len: int):
     """
     count = _consistent_pairing_count
     for word, c in power.items():
-        length = len(word)
-        if length & 1:
+        if len(word) & 1:
             continue
-        if length > max_len:
-            raise CapExceededError(
-                f"word of length {length} exceeds cap {max_len}"
-            )
         yield count(word), c
 
 

@@ -1,33 +1,126 @@
-"""Linear representations of rational noncommutative series.
+"""The paper's route to the moments, kept only as the tests' reference.
 
-A series a with zero constant term is *rational* iff there is a monoid
-homomorphism F(X) -> M_N(R) whose matrices recover each coefficient as
+``engine.moments`` never imports this module.  ``ZPoly`` is a polynomial in
+z with ``Scalar`` coefficients, the entry type of the matrices here.  A
+series a with zero constant term is *rational* iff some monoid
+homomorphism F(X) -> M_N(R) recovers each coefficient as
 
     coefficient(a, X_{i1}...X_{ik}) = (mu(X_{i1}) ... mu(X_{ik}))[1, N].
 
-This module builds such homomorphisms for variables, products, linear
-combinations and the pseudo-inverse a* = sum_{k>=1} a^k, and composes them
-into the representation of (z*q)* for a constant-free polynomial q.  Matrix
-entries are ``ZPoly`` values (degree <= 1 arises in practice; higher degrees
-are supported).
+The variable, product, linear-combination and pseudo-inverse constructions
+(a* = sum_{k>=1} a^k) build such representations, and ``build_zq_star``
+composes them into that of (z*q)* for a constant-free q.  ``reduce_rep``
+cuts every entry after z^M, and ``iterate_system`` runs the paper's
+T = deg(q)*M full sweeps through ``_kernel.iterate``.  Everything is exact
+and immutable.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterable, List, Sequence
 
+from . import _kernel
 from .errors import InvalidPolynomialError, VariableMismatchError
 from .ncpoly import NCPolynomial, Word
-from .scalar import Scalar
-from .series import ZPOLY_ONE, ZPOLY_ZERO, ZPoly
+from .scalar import ONE, ZERO, Scalar
 
-Matrix = Tuple[Tuple[ZPoly, ...], ...]
+
+class ZPoly:
+    """A polynomial in z over Scalar, stored dense with no trailing zeros."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [c if isinstance(c, Scalar) else Scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZPoly is immutable")
+
+    @classmethod
+    def constant(cls, value) -> "ZPoly":
+        return cls((value,))
+
+    @classmethod
+    def z(cls, coeff=1) -> "ZPoly":
+        """The monomial coeff*z."""
+        return cls((ZERO, coeff))
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial reported as degree 0."""
+        return max(len(self.coeffs) - 1, 0)
+
+    def coefficient(self, k: int) -> Scalar:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other: "ZPoly") -> "ZPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] = out[k] + c
+        return ZPoly(out)
+
+    def __mul__(self, other: "ZPoly") -> "ZPoly":
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ZPOLY_ZERO
+        out = [ZERO] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+        return ZPoly(out)
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                zpow = "z" if k == 1 else f"z^{k}"
+                if c == ONE:
+                    parts.append(zpow)
+                elif not c.is_real():
+                    parts.append(f"({c})*{zpow}")
+                else:
+                    parts.append(f"{c}*{zpow}")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"ZPoly({self})"
+
+
+ZPOLY_ZERO = ZPoly()
+ZPOLY_ONE = ZPoly((ONE,))
+
+
+# -- linear representations ----------------------------------------------------
 
 
 def _as_zpoly(value) -> ZPoly:
-    if isinstance(value, ZPoly):
-        return value
-    return ZPoly.constant(value if isinstance(value, Scalar) else Scalar(value))
+    return value if isinstance(value, ZPoly) else ZPoly.constant(value)
 
 
 class LinearRepresentation:
@@ -53,9 +146,6 @@ class LinearRepresentation:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearRepresentation is immutable")
-
-    def coefficient(self, word: Word) -> ZPoly:
-        return coefficient(self, word)
 
     def dump(self) -> str:
         """Per-variable matrices as rows of exact coefficient strings."""
@@ -233,3 +323,55 @@ def coefficient(rep: LinearRepresentation, word: Word) -> ZPoly:
     if not word:
         return ZPOLY_ZERO
     return vec[dim - 1]
+
+
+# -- the sweep --------------------------------------------------------------------
+
+ReducedMats = List[List[List[ZPoly]]]
+
+
+def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
+    """Entrywise image of the representation in C[z]/(z^(M+1)): every entry
+    cut after z^M."""
+    n_coeffs = truncation_order + 1
+    return [
+        [[ZPoly(entry.coeffs[:n_coeffs]) for entry in row] for row in mat]
+        for mat in rep.mats
+    ]
+
+
+def _sparse_rows(mats: ReducedMats):
+    """Reduced matrices as kernel input: per-variable sparse rows, with the
+    coefficients as plain ints when every one is a real integer and as
+    Scalars otherwise."""
+    as_int = all(
+        c.is_real() and c.re.denominator == 1
+        for mat in mats for row in mat for entry in row for c in entry.coeffs
+    )
+    sparse = []
+    for mat in mats:
+        rows = {}
+        for j, row in enumerate(mat):
+            entries = [
+                (t, tuple(c.re.numerator for c in e.coeffs) if as_int else e.coeffs)
+                for t, e in enumerate(row)
+                if e
+            ]
+            if entries:
+                rows[j] = entries
+        sparse.append(rows)
+    return sparse
+
+
+def iterate_system(
+    mats: ReducedMats, dim: int, truncation_order: int, iterations: int
+) -> ZPoly:
+    """Iterate P <- sum_i (mu_i (P + I))^2 from P = 0; entry (1, N) of P^T.
+
+    The z^m coefficient of the result equals tau(q(s_1,...,s_n)^m) for
+    1 <= m <= M whenever ``iterations`` >= deg(q)*M.
+    """
+    if iterations < 1:
+        raise ValueError("iteration count must be at least 1")
+    sparse = _sparse_rows(mats)
+    return ZPoly(_kernel.iterate(sparse, dim, truncation_order + 1, iterations))

@@ -203,8 +203,9 @@ class Scalar:
         return f"Scalar({self})"
 
     _STRING_RE = _re.compile(
-        r"^(?P<re>[+-]?\d+(?:/\d+)?)?"
-        r"(?P<im>(?:(?<=\d)[+-]|[+-]?)(?:\d+(?:/\d+)?\*)?i)?$"
+        # a zero denominator does not match: "1/0" is malformed like any other
+        r"^(?P<re>[+-]?\d+(?:/0*[1-9]\d*)?)?"
+        r"(?P<im>(?:(?<=\d)[+-]|[+-]?)(?:\d+(?:/0*[1-9]\d*)?\*)?i)?$"
     )
 
     @classmethod
@@ -229,12 +230,6 @@ class Scalar:
             body = body.rstrip("*")
             im_part = sign * (Fraction(body) if body else Fraction(1))
         return cls(Fraction(re_part), im_part)
-
-    def to_float(self) -> complex:
-        """Lossy decimal approximation, for display only."""
-        if self.im == 0:
-            return float(self.re)
-        return complex(float(self.re), float(self.im))
 
 
 _new = object.__new__

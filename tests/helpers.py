@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from freemoments import NCPolynomial, Scalar, ZPoly
-from freemoments.linrep import (
+from freemoments.reference import (
     LinearRepresentation,
     rep_linear_combination,
     rep_product,

@@ -25,8 +25,13 @@ from freemoments import (
     psemi_table,
     word_moment,
 )
-from freemoments.engine import iterate_system, reduce_rep
-from freemoments.linrep import build_zq_star, coefficient, rep_star
+from freemoments.reference import (
+    build_zq_star,
+    coefficient,
+    iterate_system,
+    reduce_rep,
+    rep_star,
+)
 from freemoments.ncpoly import split_constant
 
 from helpers import (
@@ -242,7 +247,7 @@ def check_linrep_soundness(cases=200, seed=107, max_len=5):
 
 
 def check_rep_star_partial_sums(cases=100, seed=108, max_len=5):
-    from freemoments.linrep import rep_linear_combination, rep_variable
+    from freemoments.reference import rep_linear_combination, rep_variable
 
     rng = random.Random(seed)
     for _ in range(cases):

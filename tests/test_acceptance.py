@@ -23,7 +23,7 @@ from freemoments import (
     psemi_table,
     word_moment,
 )
-from freemoments.engine import iterate_system, reduce_rep
+from freemoments.reference import iterate_system, reduce_rep
 from freemoments.ncpoly import split_constant
 
 import properties

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import freemoments
 from freemoments import Scalar
 from freemoments.cli import main
 from freemoments.engine import MomentVector
@@ -81,6 +85,58 @@ def test_moments_decimal_alongside(capsys):
     doc = json.loads(out)
     assert doc["moments"][1]["re"] == "1/4"
     assert doc["moments"][1]["re_approx"] == 0.25
+
+    # a moment past float range still prints exactly; its approximation is
+    # inf or -inf (null in JSON), and the run succeeds
+    huge = 1000**200 * math.comb(200, 100) // 101  # tau((1000*s)^200)
+    big = ("moments", "--poly", "1000*x1", "--max-order", "200", "--decimal")
+    code, out, err = run(capsys, *big)
+    assert code == 0, err
+    assert f"m=200  {huge}  ~ inf" in out
+    assert "m=2  1000000  ~ 1000000.0" in out
+
+    code, out, err = run(capsys, *big, "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[-1] == f"200,{huge},0,inf,0.0"
+
+    code, out, err = run(capsys, *big, "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["moments"][199] == {
+        "m": 200, "re": str(huge), "im": "0", "re_approx": None, "im_approx": 0.0
+    }
+    assert doc["moments"][1]["re_approx"] == 1e6
+
+    code, out, err = run(
+        capsys, "moments", "--poly=-1000*x1^2", "--max-order", "101",
+        "--decimal", "--format", "csv",
+    )
+    assert code == 0, err
+    assert out.splitlines()[-1].endswith(",-inf,0.0")
+
+
+def test_moments_does_not_import_reference():
+    # a fresh process: the paper's reference route loads only when one of its
+    # names is asked for
+    code = (
+        "import sys\n"
+        "import freemoments, freemoments.cli\n"
+        "rc = freemoments.cli.main(['moments', '--poly', 'x1*x2 + x2*x1',"
+        " '--max-order', '4', '--format', 'json'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'freemoments.reference' not in sys.modules\n"
+        "from freemoments import *\n"
+        "missing = [n for n in freemoments.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert freemoments.ZPoly is freemoments.reference.ZPoly\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freemoments.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["moments"][1]["re"] == "2"
 
 
 def test_non_self_adjoint_warning(capsys):

@@ -17,8 +17,9 @@ from freemoments import (
     parse_polynomial,
 )
 from freemoments import _kernel
-from freemoments.engine import MAX_ORDER, complexity_probe, iterate_system, reduce_rep
-from freemoments.linrep import rep_variable
+from freemoments.cli import complexity_probe
+from freemoments.engine import MAX_ORDER
+from freemoments.reference import iterate_system, reduce_rep, rep_variable
 
 import properties
 

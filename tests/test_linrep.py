@@ -8,7 +8,7 @@ from freemoments import (
     ZPoly,
     parse_polynomial,
 )
-from freemoments.linrep import (
+from freemoments.reference import (
     build_zq_star,
     coefficient,
     rep_linear_combination,

@@ -81,6 +81,9 @@ def test_from_string_examples():
         Scalar.from_string("1.5")
     with pytest.raises(ValueError):
         Scalar.from_string("x1")
+    for text in ["1/0", "-3/00", "2/0*i", "1+1/0*i"]:
+        with pytest.raises(ValueError):
+            Scalar.from_string(text)
 
 
 def _clones(value):
