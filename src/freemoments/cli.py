@@ -8,11 +8,12 @@ Three subcommands:
 * ``bench``   - time the engine against the naive expansion over a sweep of
   orders and report the fitted log-log slope (informational only).
 
-Values are always printed as exact fractions; ``--decimal`` adds a floating
-approximation alongside (never instead).  Exit codes: 0 success, 1 verify
-mismatch, 2 parse or usage error, 3 internal error, 4 size cap exceeded (the
-oracle's expansion cap or the parser's fixed limits), 130 interrupted
-(Ctrl-C).
+Each subcommand takes only the flags it reads; ``_COMMANDS`` lists them.
+Values are always printed as exact fractions; ``moments --decimal`` adds a
+floating approximation alongside (never instead).  Exit codes: 0 success,
+1 verify mismatch, 2 parse or usage error (an option the subcommand does not
+take included), 3 internal error, 4 size cap exceeded (the oracle's expansion
+cap or the parser's fixed limits), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -49,78 +50,6 @@ EXIT_INTERRUPTED = 130
 ENV_EXPANSION_CAP = "FREEMOMENTS_EXPANSION_CAP"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freemoments",
-        description=(
-            "Exact moments of noncommutative polynomials evaluated at free "
-            "independent standard semicircular elements."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--poly",
-        required=True,
-        help="polynomial in variables x1..xn, e.g. 'x1^3 - 3*x1'",
-    )
-    common.add_argument(
-        "--n-vars",
-        type=int,
-        default=None,
-        help="ambient variable count (default: highest index appearing)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: text)",
-    )
-    common.add_argument(
-        "--decimal",
-        action="store_true",
-        help="also print decimal approximations next to exact values",
-    )
-    common.add_argument(
-        "--expansion-cap",
-        type=int,
-        default=None,
-        help=(
-            "max term count for the naive oracle expansion "
-            f"(default {DEFAULT_EXPANSION_CAP}; env {ENV_EXPANSION_CAP})"
-        ),
-    )
-
-    p_moments = sub.add_parser(
-        "moments", parents=[common], help="compute moments with the engine"
-    )
-    p_moments.add_argument(
-        "--max-order", type=int, required=True, help="highest moment order M"
-    )
-
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="check the engine against the brute-force oracle",
-    )
-    p_verify.add_argument(
-        "--max-order", type=int, required=True, help="highest moment order M"
-    )
-
-    p_bench = sub.add_parser(
-        "bench",
-        parents=[common],
-        help="time the engine vs the naive expansion over a sweep of orders",
-    )
-    p_bench.add_argument(
-        "--sweep",
-        default="8,16,32",
-        help="comma-separated list of orders (default: 8,16,32)",
-    )
-    return parser
-
-
 def _expansion_cap(args) -> int:
     if args.expansion_cap is not None:
         cap, source = args.expansion_cap, "--expansion-cap"
@@ -151,11 +80,10 @@ def _load_polynomial(args) -> tuple[NCPolynomial, List[str]]:
     return poly, warnings
 
 
-def _check_max_order(args) -> None:
-    if not 1 <= args.max_order <= MAX_ORDER:
-        raise UsageError(
-            f"--max-order must be between 1 and {MAX_ORDER}, got {args.max_order}"
-        )
+def _check_orders(flag: str, orders: Sequence[int], given) -> None:
+    """Refuse an empty order list or any order outside 1..MAX_ORDER."""
+    if not orders or not all(1 <= m <= MAX_ORDER for m in orders):
+        raise UsageError(f"{flag} must be between 1 and {MAX_ORDER}, got {given!r}")
 
 
 def _approx(x: Fraction) -> float:
@@ -173,7 +101,7 @@ def _text_approx(value: Scalar) -> str:
 
 def _cmd_moments(args, out) -> int:
     poly, warnings = _load_polynomial(args)
-    _check_max_order(args)
+    _check_orders("--max-order", [args.max_order], args.max_order)
     mv = moments(poly, args.max_order)
 
     if args.format == "json":
@@ -240,7 +168,7 @@ def _cmd_verify(args, out) -> int:
     # (m_p)^m grows with m: an M past the cap exits 4 before the order check
     # and the engine (check_expansion_cap never refuses M < 1)
     check_expansion_cap(poly, args.max_order, cap)
-    _check_max_order(args)
+    _check_orders("--max-order", [args.max_order], args.max_order)
     mv = moments(poly, args.max_order)
     mismatches = []
     for m in range(1, args.max_order + 1):
@@ -305,7 +233,6 @@ def complexity_probe(
     p: NCPolynomial,
     orders: Sequence[int],
     expansion_cap: int = 10**6,
-    include_naive: bool = True,
 ) -> BenchReport:
     """Wall-clock engine timings over a sweep of orders, with the naive
     expansion timed alongside until it hits the term cap.
@@ -322,13 +249,12 @@ def complexity_probe(
         engine_seconds = time.perf_counter() - start
         naive_seconds = None
         naive_capped = False
-        if include_naive:
-            try:
-                start = time.perf_counter()
-                brute_moment(p, m, expansion_cap)
-                naive_seconds = time.perf_counter() - start
-            except CapExceededError:
-                naive_capped = True
+        try:
+            start = time.perf_counter()
+            brute_moment(p, m, expansion_cap)
+            naive_seconds = time.perf_counter() - start
+        except CapExceededError:
+            naive_capped = True
         rows.append(BenchRow(m, engine_seconds, naive_seconds, naive_capped))
 
     slope = None
@@ -351,10 +277,7 @@ def _cmd_bench(args, out) -> int:
         orders = [int(s) for s in args.sweep.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"--sweep must be comma-separated integers, got {args.sweep!r}")
-    if not orders or any(not 1 <= m <= MAX_ORDER for m in orders):
-        raise UsageError(
-            f"--sweep orders must be between 1 and {MAX_ORDER}, got {args.sweep!r}"
-        )
+    _check_orders("--sweep orders", orders, args.sweep)
     cap = _expansion_cap(args)
     report = complexity_probe(poly, orders, cap)
 
@@ -388,28 +311,89 @@ def _cmd_bench(args, out) -> int:
         print(f"poly: {poly}", file=out)
         print(f"{'M':>6}  {'engine (s)':>12}  {'naive (s)':>12}", file=out)
         for row in report.rows:
-            if row.naive_capped:
-                naive = "capped"
-            elif row.naive_seconds is None:
-                naive = "-"
-            else:
-                naive = f"{row.naive_seconds:.4f}"
+            naive = "capped" if row.naive_capped else f"{row.naive_seconds:.4f}"
             print(f"{row.max_order:>6}  {row.engine_seconds:>12.4f}  {naive:>12}", file=out)
         if report.engine_slope is not None:
             print(f"engine log-log slope: {report.engine_slope:.2f}", file=out)
     return EXIT_OK
 
 
+# Every flag's argparse spec, given once.
+_OPTIONS = {
+    "--poly": dict(
+        required=True, help="polynomial in variables x1..xn, e.g. 'x1^3 - 3*x1'"
+    ),
+    "--n-vars": dict(
+        type=int,
+        default=None,
+        help="ambient variable count (default: highest index appearing)",
+    ),
+    "--format": dict(
+        choices=("text", "json", "csv"),
+        default="text",
+        help="output format (default: text)",
+    ),
+    "--decimal": dict(
+        action="store_true",
+        help="also print decimal approximations next to exact values",
+    ),
+    "--expansion-cap": dict(
+        type=int,
+        default=None,
+        help=(
+            "max term count for the naive oracle expansion "
+            f"(default {DEFAULT_EXPANSION_CAP}; env {ENV_EXPANSION_CAP})"
+        ),
+    ),
+    "--max-order": dict(type=int, required=True, help="highest moment order M"),
+    "--sweep": dict(
+        default="8,16,32", help="comma-separated list of orders (default: 8,16,32)"
+    ),
+}
+
+# Each subcommand: its handler, its help line and the flags it reads.  This is
+# the only place that says which flag a subcommand takes; any other flag is a
+# usage error (exit 2).
+_COMMANDS = {
+    "moments": (
+        _cmd_moments,
+        "compute moments with the engine",
+        ("--poly", "--n-vars", "--format", "--decimal", "--max-order"),
+    ),
+    "verify": (
+        _cmd_verify,
+        "check the engine against the brute-force oracle",
+        ("--poly", "--n-vars", "--format", "--expansion-cap", "--max-order"),
+    ),
+    "bench": (
+        _cmd_bench,
+        "time the engine vs the naive expansion over a sweep of orders",
+        ("--poly", "--n-vars", "--format", "--expansion-cap", "--sweep"),
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="freemoments",
+        description=(
+            "Exact moments of noncommutative polynomials evaluated at free "
+            "independent standard semicircular elements."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            command.add_argument(flag, **_OPTIONS[flag])
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = _build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     try:
-        if args.command == "moments":
-            return _cmd_moments(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        return _cmd_bench(args, out)
+        return handler(args, sys.stdout)
     except (PolyParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -299,12 +299,16 @@ def infer_variable_count(text: str) -> int:
     import re as _re
 
     best = 1
-    for m in _re.finditer(r"x(\d+)", text):
+    for m in _re.finditer(r"x([0-9]+)", text):
         best = max(best, int(m.group(1)))
     return best
 
 
 # -- parser ---------------------------------------------------------------------
+
+# ASCII only: str.isdigit() also accepts superscripts and other scripts' digits,
+# which int() then misreads or refuses
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str):
@@ -322,17 +326,17 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < length and text[i].isdigit():
+            while i < length and text[i] in _DIGITS:
                 i += 1
             numerator = int(text[start:i])
             if i < length and text[i] == "/":
                 i += 1
-                if i >= length or not text[i].isdigit():
+                if i >= length or text[i] not in _DIGITS:
                     raise PolyParseError("expected digits after '/'", text, i)
                 den_start = i
-                while i < length and text[i].isdigit():
+                while i < length and text[i] in _DIGITS:
                     i += 1
                 denominator = int(text[den_start:i])
                 if denominator == 0:
@@ -344,9 +348,9 @@ def _tokenize(text: str):
         if ch == "x":
             start = i
             i += 1
-            if i >= length or not text[i].isdigit():
+            if i >= length or text[i] not in _DIGITS:
                 raise PolyParseError("expected variable index after 'x'", text, i)
-            while i < length and text[i].isdigit():
+            while i < length and text[i] in _DIGITS:
                 i += 1
             tokens.append(("VAR", int(text[start + 1 : i]), start))
             continue

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import freemoments
 from freemoments import Scalar
 from freemoments.cli import main
@@ -162,6 +164,10 @@ def test_parse_error_exit_2(capsys):
     )
     assert code == 2
 
+    code, _, err = run(capsys, "moments", "--poly", "x1\u00b2", "--max-order", "2")
+    assert code == 2
+    assert "position 2" in err and "internal error" not in err
+
 
 def test_usage_errors_exit_2(capsys, monkeypatch):
     for argv in [
@@ -184,6 +190,21 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
             code, _, err = run(capsys, *argv)
             assert code == 2, (env, argv)
             assert "FREEMOMENTS_EXPANSION_CAP" in err and "position" not in err, env
+
+
+def test_option_of_another_subcommand_exit_2(capsys):
+    # each subcommand takes only the flags it reads; argparse refuses the rest
+    for argv in [
+        ("verify", "--poly", "x1", "--max-order", "4", "--decimal"),
+        ("bench", "--poly", "x1", "--sweep", "2", "--decimal"),
+        ("moments", "--poly", "x1", "--max-order", "2", "--expansion-cap", "0"),
+        ("moments", "--poly", "x1", "--max-order", "2", "--sweep", "2"),
+        ("bench", "--poly", "x1", "--max-order", "2"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_parser_blowup_exit_4(capsys):

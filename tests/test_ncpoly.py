@@ -73,6 +73,12 @@ def test_parse_syntax_errors_carry_position():
         parse_polynomial("x1^-2", 1)
     with pytest.raises(PolyParseError):
         parse_polynomial("3x1", 1)  # juxtaposition is not multiplication
+    # only ASCII digits: a superscript or another script's digit is refused,
+    # never misread or leaked as a bare ValueError from int()
+    for text, position in [("x1\u00b2", 2), ("2\u00b3*x1", 1), ("x\u0661 + x2", 1)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text, 2)
+        assert err.value.position == position, text
 
 
 def test_parse_rejects_decimals():
