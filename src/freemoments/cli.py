@@ -5,15 +5,17 @@ Three subcommands:
 * ``moments`` - run the engine and print tau(p(s)^m) for m = 1..M;
 * ``verify``  - compute the same moments with the exponential expansion
   oracle and diff the two, exiting nonzero on any mismatch;
-* ``bench``   - time the engine against the naive expansion over a sweep of
-  orders and report the fitted log-log slope (informational only).
+* ``bench``   - time the engine against the brute-force oracle
+  (``brute_moment``, the naive column) over a sweep of orders and report the
+  fitted log-log slope (informational only).
 
 Each subcommand takes only the flags it reads; ``_COMMANDS`` lists them.
 Values are always printed as exact fractions; ``moments --decimal`` adds a
 floating approximation alongside (never instead).  Exit codes: 0 success,
 1 verify mismatch, 2 parse or usage error (an option the subcommand does not
-take included), 3 internal error, 4 size cap exceeded (the oracle's expansion
-cap or the parser's fixed limits), 130 interrupted (Ctrl-C).
+take included, reported with that subcommand's usage), 3 internal error,
+4 size cap exceeded (the oracle's expansion cap or the parser's fixed
+limits), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -235,12 +237,13 @@ def complexity_probe(
     expansion_cap: int = 10**6,
 ) -> BenchReport:
     """Wall-clock engine timings over a sweep of orders, with the naive
-    expansion timed alongside until it hits the term cap.
+    oracle timed alongside until it hits the term cap.
 
-    The naive column times the single highest moment (what the expansion
-    method would compute); the engine column times all orders up to M.  The
-    log-log slope of the engine timings is reported, never asserted: bigint
-    coefficient growth makes wall-clock exponents machine-dependent.
+    The naive column times ``brute_moment`` on the single highest moment,
+    refused once the m-th power has more term sequences than the cap; the
+    engine column times all orders up to M.  The log-log slope of the engine
+    timings is reported, never asserted: bigint coefficient growth makes
+    wall-clock exponents machine-dependent.
     """
     rows = []
     for m in orders:
@@ -373,7 +376,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="freemoments",
         description=(
@@ -382,15 +386,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        command = commands[name] = sub.add_parser(name, help=help_text)
         for flag in flags:
             command.add_argument(flag, **_OPTIONS[flag])
-    return parser
+    return parser, commands
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # argparse would report these from the top level, without the usage
+        # of the subcommand that does not take them (exit 2 either way)
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args, sys.stdout)

@@ -119,7 +119,11 @@ class NCPolynomial:
         constant's included.  The zero polynomial gives ``(1, [])``."""
         terms = list(self.terms())
         lam = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
-        return lam, [(w, int(c.re * lam), int(c.im * lam)) for w, c in terms]
+        return lam, [
+            (w, c.re.numerator * (lam // c.re.denominator),
+             c.im.numerator * (lam // c.im.denominator))
+            for w, c in terms
+        ]
 
     def coefficient(self, word: Word) -> Scalar:
         return self._terms.get(tuple(word), ZERO)

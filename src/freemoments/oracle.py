@@ -6,9 +6,17 @@ deliberately exponential:
 * moments of a single word come from counting non-crossing pairings whose
   paired positions carry equal letters (mixed free cumulants vanish and the
   only nonzero semicircular cumulant is kappa_2 = 1);
-* moments of a polynomial expand (lam*p)^m term by term over integer
-  coefficients, with lam the least common multiple of the denominators of
-  p's coefficients, and divide the pairing-weighted sum by lam^m once;
+* moments of a polynomial sum over the term sequences of (lam*p)^m over
+  integer coefficients, with lam the least common multiple of the
+  denominators of p's coefficients, and divide the pairing-weighted sum by
+  lam^m once.  tau is a trace and non-crossing pairings are invariant under
+  rotation (Nica-Speicher, Lectures on the Combinatorics of Free
+  Probability, 2006, Lect. 8 and 22), so the sequences are split into
+  blocks (lam*p)^a and each rotation class of blocks, a necklace, is
+  counted once, weighted by its number of rotations;
+* a word too long for the cached pairing recursion is counted from an
+  explicit stack, so no input raises ``RecursionError``; one whose
+  subwords outgrow ``PAIRING_STACK_CAP`` raises ``CapExceededError``;
 * the moment <-> free-cumulant conversion sums over non-crossing partitions
   via the first-block recursion;
 * a second oracle iterates the one-equation algebraic system
@@ -20,7 +28,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import xor
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapExceededError
@@ -35,6 +45,11 @@ CUMULANT_CAP = 12
 PSEMI_CAP = 12
 DEFAULT_EXPANSION_CAP = 10**6
 PAIRING_CACHE_MAX = 1 << 16  # words; brute_moment clears the cache past this
+PAIRING_STACK_CAP = 1 << 22  # letters of subwords a word too deep to recurse on may hold
+# A necklace costs about two counted words: besides its pairing count, the
+# FKM step, joining its blocks and multiplying their coefficients take about
+# as long again (measured on the verify corpus and on one-letter inputs).
+NECKLACE_COST = 2
 
 
 def catalan(k: int) -> int:
@@ -140,16 +155,20 @@ def brute_moment(
 ) -> Scalar:
     """tau(p(s_1,...,s_n)^m) by full expansion of the m-th power.
 
-    Expands to up to (m_p)^m monomials; this is the exponential blow-up the
-    engine avoids.  Requests whose raw expansion exceeds ``expansion_cap``
-    are refused (``check_expansion_cap``).
+    Sums over the (m_p)^m term sequences of p^m; this is the exponential
+    blow-up the engine avoids.  Requests with (m_p)^m over
+    ``expansion_cap`` are refused (``check_expansion_cap``).
 
-    The expansion runs on integers only.  With lam and the integer
-    coefficients of lam*p from ``NCPolynomial.integer_terms``, (lam*p)^m is
-    expanded by square and multiply over a map from word to ``int``, or to
-    an ``(re, im)`` pair of ``int``s when a coefficient is not real.  The
-    pairing counts of its even-length words weight an integer sum, which is
-    divided by lam^m once at the end.
+    The sum runs on integers only.  With lam and the integer coefficients
+    of lam*p from ``NCPolynomial.integer_terms``, the blocks D_a = (lam*p)^a
+    for a up to ceil(m/2) are maps from word to ``int``, or to an ``(re,
+    im)`` pair of ``int``s when a coefficient is not real.  tau is a trace,
+    so a cyclic rotation of a sequence of blocks has the same moment, and
+    (lam*p)^m = D_a^(m/a) is summed over necklaces (rotation classes) of
+    m/a blocks: each necklace's word is counted once, weighted by its
+    number of rotations.  The plan (``_block_length``) picks the a that
+    costs the least; a = m counts the words of D_m one by one.  The integer
+    sum is divided by lam^m once at the end.
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
@@ -161,27 +180,25 @@ def brute_moment(
     lam, terms = p.integer_terms()
     gaussian = any(im for _, _, im in terms)
     if gaussian:
-        mul = _mul_gaussian
+        mul, product = _mul_gaussian, _gaussian_product
         base = {w: (re, im) for w, re, im in terms}
     else:
-        mul = _mul_int
+        mul, product = _mul_int, math.prod
         base = {w: re for w, re, _ in terms}
-    # square and multiply; the factors are powers of lam*p, so they commute
-    power = None
-    n = m
-    while n:
-        if n & 1:
-            power = base if power is None else mul(power, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
+    blocks = [{(): product(())}, base]
+    a = _block_length(m, blocks, mul)
+    if a == m:
+        power = mul(blocks[m // 2], blocks[(m + 1) // 2])
+        counted = _counted_necklaces(power, 1, product)
+    else:
+        counted = _counted_necklaces(blocks[a], m // a, product)
     if gaussian:
         re = im = 0
-        for k, (c_re, c_im) in _counted_words(power):
+        for k, (c_re, c_im) in counted:
             re += k * c_re
             im += k * c_im
     else:
-        re = sum(k * c for k, c in _counted_words(power))
+        re = sum(k * c for k, c in counted)
         im = 0
     # keep the cached subwords shared across calls, but not without bound
     if _consistent_pairing_count.cache_info().currsize > PAIRING_CACHE_MAX:
@@ -190,17 +207,185 @@ def brute_moment(
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
-def _counted_words(power: Dict[Word, object]):
-    """(pairing count, coefficient) for each even-length word of ``power``.
+def _block_length(m: int, blocks: List[Dict[Word, object]], mul) -> int:
+    """The block length a whose sum for the m-th power costs the least.
 
-    The pairing count is tau(w) itself: the recursion returns 0 for a word
-    with a letter of odd multiplicity, so no letter scan runs first.
+    ``blocks`` holds (lam*p)^0 and (lam*p)^1; each step appends the next
+    power, as a product by ``mul``, up to (lam*p)^ceil(m/2).  With |D_a|
+    words in (lam*p)^a, and the cost counted in words:
+
+    * a divisor a <= m/2 of m leaves about |D_a|^(m/a) * a/m necklaces of
+      m/a blocks, each costing ``NECKLACE_COST`` words;
+    * a = m counts the words of (lam*p)^m.  Of the |D_floor(m/2)| *
+      |D_ceil(m/2)| products of two halves, about the share that stayed
+      distinct one halving down, |D_h| / (|D_floor(h/2)| * |D_ceil(h/2)|)
+      with h = floor(m/2), are distinct words.  That share is 1 unless
+      words merge, as they do with one letter or with a constant term.
+
+    Ties go to the longer blocks.  |D_a| never falls as a grows, so each
+    later choice costs at least min(NECKLACE_COST |D_a|^2 (a+1)/m, |D_a|)
+    words, and the steps stop once the best so far is below that.
+    """
+    half, h = (m + 1) // 2, m // 2
+    best_a = best = None  # best: a cost times m
+    for a in range(1, half + 1):
+        if a > 1:
+            blocks.append(mul(blocks[a - 1], blocks[1]))
+        size = len(blocks[a])
+        if a <= h and m % a == 0:
+            cost = NECKLACE_COST * size ** (m // a) * a
+            if best is None or cost <= best:
+                best_a, best = a, cost
+        if a < half and best is not None:
+            if best < size * min(NECKLACE_COST * size * (a + 1), m):
+                return best_a
+    sizes = [len(block) for block in blocks]
+    # the a = m cost times m, with the distinct share's denominator moved over
+    cost = sizes[h] * sizes[half] * m * sizes[h]
+    if best is None or cost <= best * sizes[h // 2] * sizes[(h + 1) // 2]:
+        return m
+    return best_a
+
+
+def _necklace_words(words: List[Word], odd: List[int], n: int):
+    """Each necklace of n blocks from ``words`` once, as ``(seq, period,
+    odd_letters, word)``.
+
+    ``seq`` holds the blocks' indices, the least of its rotations (the list
+    is reused); ``period`` is its smallest period, the number of its distinct
+    rotations; ``word`` joins the blocks of its first period, and
+    ``odd_letters`` is the XOR of their ``odd`` bits.
+
+    The FKM algorithm (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
+    J. Algorithms 13, 1992) lists them without recursion, since a one-block
+    ``words`` can come with n in the thousands: each step bumps the last
+    index below the top and repeats the prefix up to it, which gives the
+    prenecklaces in lexicographic order; one whose prefix length divides n
+    is a necklace, with that length as its period.  A step rewrites the
+    prefix parities and joined words only from the position it bumped.
+    """
+    seq = [0] * n
+    yield seq, 1, odd[0], words[0]
+    top = len(words) - 1
+    if not top:
+        return
+    parity = [0] * (n + 1)  # parity[j], prefix[j]: of the first j blocks
+    prefix: List[Word] = [()] * (n + 1)
+    for j in range(n):
+        parity[j + 1] = parity[j] ^ odd[0]
+        prefix[j + 1] = prefix[j] + words[0]
+    while True:
+        i = n - 1
+        while i >= 0 and seq[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        seq[i] += 1
+        period = i + 1
+        for j in range(i, n):
+            if j >= period:
+                seq[j] = seq[j - period]
+            x = seq[j]
+            parity[j + 1] = parity[j] ^ odd[x]
+            prefix[j + 1] = prefix[j] + words[x]
+        if n % period == 0:
+            yield seq, period, parity[period], prefix[period]
+
+
+def _counted_necklaces(block: Dict[Word, object], r: int, product):
+    """(rotations * pairing count, coefficient) for each necklace of r blocks.
+
+    Over the sequences of r words of ``block``, one per rotation class whose
+    concatenated word has a nonzero pairing count, which is tau(w) itself.
+    ``product`` multiplies the blocks' coefficients.  With r = 1 every word
+    of ``block`` is its own necklace, and the recursion returns 0 for a word
+    with a letter of odd multiplicity; with r > 1 such a word is skipped
+    before it is counted.
     """
     count = _consistent_pairing_count
-    for word, c in power.items():
-        if len(word) & 1:
+    if r == 1:
+        for word, c in block.items():
+            if len(word) & 1:
+                continue
+            try:
+                k = count(word)
+            except RecursionError:
+                k = _deep_pairing_count(word)
+            if k:
+                yield k, c
+        return
+    words = list(block)
+    if r & 1 and all(len(word) & 1 for word in words):
+        return  # every word joins an odd number of odd-length blocks
+    coeffs = list(block.values())
+    # each block's letters of odd multiplicity, as bits: a word whose blocks
+    # do not cancel them all has an odd letter and count 0
+    bit = {x: 1 << i for i, x in enumerate(set(chain.from_iterable(words)))}
+    odd = [reduce(xor, map(bit.__getitem__, word), 0) for word in words]
+    for seq, period, odd_letters, word in _necklace_words(words, odd, r):
+        repeats = r // period  # a necklace is its first period, repeated
+        if repeats & 1 and odd_letters:
             continue
-        yield count(word), c
+        word *= repeats
+        try:
+            k = count(word)
+        except RecursionError:
+            k = _deep_pairing_count(word)
+        if k:
+            yield period * k, product(map(coeffs.__getitem__, seq))
+
+
+def _deep_pairing_count(word: Word) -> int:
+    """``_consistent_pairing_count(word)`` for a word too long to recurse on.
+
+    On a cold cache the recursion nests about len(word)/2 calls.  This runs
+    the same recursion from an explicit stack: a frame whose next subword
+    is not known yet is set aside until it is.  The subwords' counts go to
+    a local table, not to the shared cache.  A word whose subwords would
+    hold more than ``PAIRING_STACK_CAP`` letters in that table is refused
+    with ``CapExceededError``.
+    """
+    known: Dict[Word, int] = {(): 1}
+    held = 0
+    stack = [(word, 1, 0)]  # word, next position to pair with its first, sum
+    while True:
+        w, k, total = stack.pop()
+        first = w[0]
+        missing = None
+        while k < len(w):
+            if w[k] == first:
+                inner = known.get(w[1:k])
+                if inner is None:
+                    missing = w[1:k]
+                    break
+                if inner:
+                    outer = known.get(w[k + 1 :])
+                    if outer is None:
+                        missing = w[k + 1 :]
+                        break
+                    total += inner * outer
+            k += 2
+        if missing is None:
+            known[w] = total
+            if not stack:
+                return total
+            held += len(w)
+            if held > PAIRING_STACK_CAP:
+                raise CapExceededError(
+                    f"counting the pairings of a word of length {len(word)} "
+                    f"needs more than {PAIRING_STACK_CAP} letters of subwords"
+                )
+        else:
+            stack.append((w, k, total))
+            stack.append((missing, 1, 0))
+
+
+def _gaussian_product(factors) -> Tuple[int, int]:
+    """Product of Gaussian integers given as ``(re, im)`` pairs."""
+    re, im = 1, 0
+    for a, b in factors:
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
 
 
 def _mul_int(a: Dict[Word, int], b: Dict[Word, int]) -> Dict[Word, int]:

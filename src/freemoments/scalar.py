@@ -203,9 +203,11 @@ class Scalar:
         return f"Scalar({self})"
 
     _STRING_RE = _re.compile(
-        # a zero denominator does not match: "1/0" is malformed like any other
+        # a zero denominator does not match: "1/0" is malformed like any other;
+        # ASCII, because a str pattern's \d also takes other scripts' digits
         r"^(?P<re>[+-]?\d+(?:/0*[1-9]\d*)?)?"
-        r"(?P<im>(?:(?<=\d)[+-]|[+-]?)(?:\d+(?:/0*[1-9]\d*)?\*)?i)?$"
+        r"(?P<im>(?:(?<=\d)[+-]|[+-]?)(?:\d+(?:/0*[1-9]\d*)?\*)?i)?$",
+        _re.ASCII,
     )
 
     @classmethod

@@ -21,6 +21,7 @@ from freemoments import (
     free_cumulants,
     moments,
     moments_from_cumulants,
+    oracle,
     parse_polynomial,
     psemi_table,
     word_moment,
@@ -32,7 +33,7 @@ from freemoments.reference import (
     reduce_rep,
     rep_star,
 )
-from freemoments.ncpoly import split_constant
+from freemoments.ncpoly import infer_variable_count, split_constant
 
 from helpers import (
     all_words,
@@ -344,12 +345,27 @@ def random_oracle_poly(rng):
     return NCPolynomial(n_vars, terms)
 
 
+def _expanded_moment(p, m):
+    """tau(p^m) as sum(coeff * word_moment(w)) over the terms of p^m, expanded
+    in NCPolynomial/Scalar arithmetic: no integer blocks, no single division
+    by lam^m and no rotation classes."""
+    max_len = max(16, p.degree * m)
+    return sum(
+        (
+            coeff * word_moment(word, max_length=max_len)
+            for word, coeff in (p ** m).unordered_terms()
+        ),
+        Scalar(0),
+    )
+
+
 def check_brute_against_expansion(cases=220, seed=119, max_order=6, cap=10**4):
     """brute_moment against sum(coeff * word_moment(w)) over the terms of p^m.
 
     The reference expands p^m in NCPolynomial/Scalar arithmetic and reads
     each word's moment through ``word_moment``, so it shares neither the
-    integer expansion nor the single division by lam^m with the oracle.
+    integer expansion nor the single division by lam^m with the oracle, and
+    needs no traciality.
     """
     rng = random.Random(seed)
     seen = {"complex": 0, "constant_only": 0, "with_constant": 0, "big": 0}
@@ -365,18 +381,83 @@ def check_brute_against_expansion(cases=220, seed=119, max_order=6, cap=10**4):
         for m in range(max_order + 1):
             if p.n_terms ** m > cap:
                 break
-            max_len = max(16, p.degree * m)
-            expected = sum(
-                (
-                    coeff * word_moment(word, max_length=max_len)
-                    for word, coeff in (p ** m).unordered_terms()
-                ),
-                Scalar(0),
-            )
+            expected = _expanded_moment(p, m)
             got = brute_moment(p, m)
             assert type(got.re) is Fraction and type(got.im) is Fraction
             assert got.re == expected.re and got.im == expected.im, (str(p), m)
     assert min(seen.values()) >= 10, seen
+
+
+def brute_moment_planned(p, m, block_length=None):
+    """``(brute_moment(p, m), the block length it summed over)``.
+
+    With ``block_length`` the oracle's plan is replaced by that block length,
+    after the blocks up to (lam*p)^ceil(m/2) are built.
+    """
+    plan = oracle._block_length
+    used = []
+
+    def fixed(order, blocks, mul):
+        if block_length is None:
+            used.append(plan(order, blocks, mul))
+        else:
+            while len(blocks) <= (order + 1) // 2:
+                blocks.append(mul(blocks[-1], blocks[1]))
+            used.append(block_length)
+        return used[-1]
+
+    oracle._block_length = fixed
+    try:
+        value = brute_moment(p, m)
+    finally:
+        oracle._block_length = plan
+    return value, used[0]
+
+
+# (text, m) for each kind of plan: prime m, composite m summed over single
+# terms and over longer blocks, one-letter and constant-term inputs whose
+# words merge, and Gaussian coefficients
+PLAN_CASES = [
+    ("x1^2 - x2^2 + x3", 7),
+    ("x1 + i*x2 + 1", 7),
+    ("x1*x2 + x2*x1", 8),
+    ("x1 + i*x2", 6),
+    ("x1 + x1^2 + x2", 12),
+    ("1 + x1 + x1^2", 12),
+    ("x1^2 + x2 + 3", 8),
+    ("x1*x2 + i*x2*x1 + 1/2", 6),
+    ("-2*x1*x2*x1", 9),
+]
+
+
+def check_brute_plans(cases=PLAN_CASES, expansion_cap=10**4):
+    """Every block length the oracle can sum over gives the same value.
+
+    For each case, the sum over necklaces of blocks of every divisor a <= m/2
+    of m must equal the plain sum over all words of (lam*p)^m (a = m), which
+    needs no traciality, and the engine's value; where p^m is small enough,
+    also the expansion in ``_expanded_moment``.  The plans chosen must cover
+    a prime m, a = 1 and 1 < a < m at a composite m, and a = m.
+    """
+    kinds = set()
+    for text, m in cases:
+        p = parse_polynomial(text, infer_variable_count(text))
+        value, chosen = brute_moment_planned(p, m)
+        kinds.add(
+            ("prime m" if all(m % d for d in range(2, m)) else "composite m")
+            + (", a = 1" if chosen == 1 else ", a = m" if chosen == m else ", 1 < a < m")
+        )
+        words_of_power, _ = brute_moment_planned(p, m, m)
+        assert value == words_of_power == moments(p, m).value(m), (text, m)
+        for a in range(1, m // 2 + 1):
+            if m % a == 0:
+                assert brute_moment_planned(p, m, a)[0] == value, (text, m, a)
+        if p.n_terms ** m <= expansion_cap:
+            assert value == _expanded_moment(p, m), (text, m)
+    assert {
+        "prime m, a = 1", "prime m, a = m",
+        "composite m, a = 1", "composite m, 1 < a < m", "composite m, a = m",
+    } <= kinds, kinds
 
 
 # -- engine ---------------------------------------------------------------------------

@@ -194,17 +194,21 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
 
 def test_option_of_another_subcommand_exit_2(capsys):
     # each subcommand takes only the flags it reads; argparse refuses the rest
-    for argv in [
-        ("verify", "--poly", "x1", "--max-order", "4", "--decimal"),
-        ("bench", "--poly", "x1", "--sweep", "2", "--decimal"),
-        ("moments", "--poly", "x1", "--max-order", "2", "--expansion-cap", "0"),
-        ("moments", "--poly", "x1", "--max-order", "2", "--sweep", "2"),
-        ("bench", "--poly", "x1", "--max-order", "2"),
+    for argv, rejected in [
+        (("verify", "--poly", "x1", "--max-order", "4", "--decimal"), "--decimal"),
+        (("bench", "--poly", "x1", "--sweep", "2", "--decimal"), "--decimal"),
+        (("moments", "--poly", "x1", "--max-order", "2", "--expansion-cap", "0"),
+         "--expansion-cap 0"),
+        (("moments", "--poly", "x1", "--max-order", "2", "--sweep", "2"), "--sweep 2"),
+        (("bench", "--poly", "x1", "--max-order", "2"), "--max-order 2"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv
-        assert "unrecognized arguments" in capsys.readouterr().err, argv
+        # the subcommand's own usage and name, not the top-level ones
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: freemoments {argv[0]} "), argv
+        assert f"freemoments {argv[0]}: error: unrecognized arguments: {rejected}\n" in err, argv
 
 
 def test_parser_blowup_exit_4(capsys):

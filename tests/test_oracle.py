@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,58 @@ def test_pairing_cache_stays_bounded():
     assert size <= oracle.PAIRING_CACHE_MAX == 1 << 16
 
 
+def test_pairing_cache_misses_one_per_rotation_class():
+    # summing over rotation classes counts far fewer words than one per word
+    # of (lam*p)^m, as the square-and-multiply expansion did (6485 misses)
+    p = parse_polynomial("x1^2 - x2^2 + x3", 3)
+    oracle._consistent_pairing_count.cache_clear()
+    for m in range(1, 9):
+        brute_moment(p, m)
+    assert oracle._consistent_pairing_count.cache_info().misses <= 6485 // 4
+
+
+def test_necklaces_one_per_rotation_class():
+    for n in range(1, 9):
+        for k in range(1, 4):
+            # one-letter blocks, so a necklace's word spells its sequence
+            words = [(x,) for x in range(k)]
+            odd = [1 << x for x in range(k)]
+            seen = set()
+            total = 0
+            for seq, period, odd_letters, word in oracle._necklace_words(words, odd, n):
+                seq = tuple(seq)
+                rotations = {seq[i:] + seq[:i] for i in range(n)}
+                assert seq == min(rotations) and len(rotations) == period
+                assert word == seq[:period] and seq == word * (n // period)
+                parity = 0
+                for x in word:
+                    parity ^= odd[x]
+                assert odd_letters == parity
+                assert seq not in seen
+                seen.add(seq)
+                total += period
+            assert total == k**n, (n, k)
+            # (1/n) sum over d | n of phi(d) k^(n/d) necklaces
+            phi = [sum(math.gcd(d, j) == 1 for j in range(1, d + 1)) for d in range(n + 1)]
+            assert len(seen) * n == sum(phi[d] * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
+
+
+def test_brute_moment_cold_long_word(monkeypatch):
+    # one 1500-letter word: the cached recursion would nest 750 calls deep
+    oracle._consistent_pairing_count.cache_clear()
+    assert brute_moment(parse_polynomial("x1", 1), 1500) == Scalar(catalan(750))
+    # the explicit-stack count agrees with the recursion on short words
+    rng = random.Random(120)
+    for _ in range(300):
+        word = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 4, 6, 8, 10, 12))))
+        assert oracle._deep_pairing_count(word) == oracle._consistent_pairing_count(word), word
+    # a word whose subwords would fill the table past its cap is refused
+    monkeypatch.setattr(oracle, "PAIRING_STACK_CAP", 1000)
+    with pytest.raises(CapExceededError, match="word of length 200 "):
+        oracle._deep_pairing_count((1,) * 200)
+    assert oracle._deep_pairing_count((1,) * 60) == catalan(30)
+
+
 def test_free_cumulants_examples():
     semicircle = [Scalar(v) for v in (0, 1, 0, 2, 0, 5)]
     kappas = free_cumulants(semicircle)
@@ -188,6 +242,9 @@ def test_traciality_suite():
     properties.check_word_moment_traciality()
 
 
-
 def test_brute_against_expansion_suite():
     properties.check_brute_against_expansion()
+
+
+def test_brute_plans_suite():
+    properties.check_brute_plans()

@@ -81,7 +81,11 @@ def test_from_string_examples():
         Scalar.from_string("1.5")
     with pytest.raises(ValueError):
         Scalar.from_string("x1")
-    for text in ["1/0", "-3/00", "2/0*i", "1+1/0*i"]:
+    # a zero denominator, or an Arabic-Indic digit where ASCII is expected
+    for text in [
+        "1/0", "-3/00", "2/0*i", "1+1/0*i",
+        "\u0661", "\u0661/2+3*i", "1/2+\u0663*i", "-1/2\u0663", "\u0665*i",
+    ]:
         with pytest.raises(ValueError):
             Scalar.from_string(text)
 
