@@ -18,8 +18,16 @@ Given a noncommutative polynomial p and a target order M, the engine
    so the solve keeps N rows and does one int product per complex product;
 4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order in one
    pass over the rows from last to first: the z^0 part is strictly upper
-   triangular, so this is a back-substitution.  The z^m coefficient of entry
-   (start, start) is then tau((lam*q)(s)^m) for every m <= M.  For complex
+   triangular, so this is a back-substitution.  When some weight chi of the
+   letters makes every word of q odd, the rows have a Z/2 grading (a phase
+   per state, with z on exactly the edges whose phases and letter weight
+   sum to 1), and ``_kernel.solve`` finds it by itself: a cell of P is then
+   nonzero only at orders of one parity, so each order writes half of the
+   cells and the convolutions take every second order (see ``_kernel``).
+   For free semicirculars tau(w) = 0 unless every letter occurs in w an
+   even number of times, so such a q has tau(q^m) = 0 at odd m.  The z^m
+   coefficient of entry (start, start) is then tau((lam*q)(s)^m) for every
+   m <= M.  For complex
    input the solve runs modulo n = r^2 + 1, and the entry, taken in
    (-n/2, n/2], is Re + Im*r exactly: ||s_i|| = 2 bounds
    |tau((lam*q)^m)| by B^m, B = sum_w (|re| + |im|) 2^|w|, and
@@ -28,7 +36,7 @@ Given a noncommutative polynomial p and a target order M, the engine
    order 0 on, where a real input's cells grow with the order: dense inputs
    run several times faster than with Re and Im in separate rows, but a
    sparse P at high M (``x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1`` at
-   M = 160) runs about 1.6 times slower;
+   M = 160) runs about 1.3 times slower;
 5. checks, for every order, the norm bound Re^2 + Im^2 <= B^(2m) on
    tau((lam*q)^m), and that every moment is real when p is self-adjoint:
    O(M) int operations that also guard the decode (a violation raises

@@ -176,6 +176,105 @@ def all_words(n_vars: int, max_len: int):
         yield from itertools.product(range(1, n_vars + 1), repeat=length)
 
 
+# -- an independent dense solve of the kernel's fixed point --------------------
+
+
+def dense_solve(mats, dim: int, n_coeffs: int, modulus: int = 0) -> list:
+    """P = sum_i (mu_i (P + I))^2 in Z[z]/(z^n_coeffs), dense, order by order.
+
+    ``mats`` are kernel rows, one dict per letter: row -> [(col, z-coefficient
+    tuple)].  Order k of P is taken from order k of the right-hand side, with
+    orders below k already fixed, and recomputed until it stops changing.
+    Only order k of P feeds back into order k, and only through the z^0
+    parts of the mu_i, so with a strictly upper triangular z^0 part this
+    settles after at most dim + 1 rounds.  Returns P as a dim x dim list of
+    coefficient lists, each reduced into (-n/2, n/2] when a ``modulus`` n is
+    given.  Nothing here is shared with ``freemoments._kernel``.
+    """
+    span = range(dim)
+    mus = []
+    for rows in mats:
+        mu = [[[0] * n_coeffs for _ in span] for _ in span]
+        for j, entries in rows.items():
+            for t, zp in entries:
+                for e, c in enumerate(zp[:n_coeffs]):
+                    mu[j][t][e] += c
+        mus.append(mu)
+    p = [[[0] * n_coeffs for _ in span] for _ in span]
+
+    def a_order(mu, r):
+        # order r of mu (P + I): sum over e of mu's z^e times order r - e of P + I
+        return [
+            [
+                sum(
+                    mu[j][t][e] * (p[t][l][r - e] + (t == l and e == r))
+                    for t in span
+                    for e in range(r + 1)
+                )
+                for l in span
+            ]
+            for j in span
+        ]
+
+    for k in range(n_coeffs):
+        lower = [[a_order(mu, r) for r in range(k)] for mu in mus]
+        for _ in range(dim + 2):
+            rhs = [[0] * dim for _ in span]
+            for mu, a in zip(mus, lower):
+                a = a + [a_order(mu, k)]
+                for r in range(k + 1):
+                    for j in span:
+                        for l in span:
+                            rhs[j][l] += sum(a[r][j][t] * a[k - r][t][l] for t in span)
+            if all(rhs[j][l] == p[j][l][k] for j in span for l in span):
+                break
+            for j in span:
+                for l in span:
+                    p[j][l][k] = rhs[j][l]
+        else:
+            raise AssertionError(f"order {k} of the dense solve did not settle")
+    if modulus:
+        half = (modulus - 1) // 2
+        for row in p:
+            for cell in row:
+                cell[:] = [(c + half) % modulus - half for c in cell]
+    return p
+
+
+def random_kernel_rows(rng: random.Random, graded: bool):
+    """Seeded kernel rows with a strictly upper triangular z^0 part.
+
+    With ``graded``, a random phase per state and weight per letter decide
+    which of z^0 and z^1 each entry may carry, so the rows have a Z/2
+    grading; otherwise an entry takes either part or both.  Returns
+    ``(mats, dim)``.
+    """
+    dim = rng.randint(1, 5)
+    n_letters = rng.randint(1, 3)
+    phase = [rng.randint(0, 1) for _ in range(dim)]
+    chi = [rng.randint(0, 1) for _ in range(n_letters)]
+    mats = []
+    for i in range(n_letters):
+        rows = {}
+        for j in range(dim):
+            entries = []
+            for t in range(dim):
+                if rng.random() < 0.45:
+                    z0 = rng.randint(-4, 4) if t > j else 0
+                    z1 = rng.randint(-4, 4)
+                    if graded:
+                        if (phase[j] + phase[t] + chi[i]) % 2:
+                            z0 = 0
+                        else:
+                            z1 = 0
+                    if z0 or z1:
+                        entries.append((t, (z0, z1)))
+            if entries:
+                rows[j] = entries
+        mats.append(rows)
+    return mats, dim
+
+
 # -- exact linear algebra helpers ---------------------------------------------------
 
 

@@ -380,6 +380,25 @@ def test_kernel_invariant_exit_3(capsys, monkeypatch):
     assert "not nilpotent" in err
 
 
+def test_wrong_grading_exit_3(capsys, monkeypatch):
+    import freemoments._kernel as kernel_module
+
+    def wrong(mats, dim):
+        # a grading with every phase and weight 0 claims that every entry
+        # sits at an even z-degree, but the start state's edges carry z
+        return [0] * dim, [0] * len(mats), 2
+
+    monkeypatch.setattr(kernel_module, "_grading", wrong)
+    # x1*x2 + x2*x1 has a grading, just not this one; x1^2 has none at all
+    for poly in ("x1*x2 + x2*x1", "x1^2"):
+        code, out, err = run(
+            capsys, "moments", "--poly", poly, "--n-vars", "2", "--max-order", "4"
+        )
+        assert code == 3, poly
+        assert out == ""
+        assert "grading" in err, poly
+
+
 def test_norm_bound_violation_exit_3(capsys, monkeypatch):
     import freemoments._kernel as kernel_module
 

@@ -18,10 +18,11 @@ from freemoments import (
 )
 from freemoments import _kernel
 from freemoments.cli import complexity_probe
-from freemoments.engine import MAX_ORDER
+from freemoments.engine import MAX_ORDER, build_trie_rows
 from freemoments.reference import iterate_system, reduce_rep, rep_variable
 
 import properties
+from helpers import dense_solve, random_kernel_rows
 
 
 def test_reduce_rep_examples():
@@ -228,6 +229,88 @@ def test_solve_modulus_congruent_to_plain_solve():
                         assert -modulus < 2 * cell[k] <= modulus, (case, modulus)
 
 
+def _violations(mats, grading):
+    """Nonzero entries that break phi(j) + phi(t) + chi_i = e (mod 2)."""
+    phase, chi, _ = grading
+    return [
+        (i, j, t, e)
+        for i, rows in enumerate(mats)
+        for j, entries in rows.items()
+        for t, zp in entries
+        for e, c in enumerate(zp)
+        if c and (phase[j] + phase[t] + chi[i] + e) % 2
+    ]
+
+
+def _trie_rows(text, n_vars):
+    _, terms = parse_polynomial(text, n_vars).integer_terms()
+    return build_trie_rows([(w, re) for w, re, _ in terms if w])
+
+
+def test_grading_examples():
+    # every word of x1*x2 + x2*x1 and of x1^3 - 3*x1 is odd once chi = 1 on
+    # each letter; x1^2 + x2^2 has no such chi
+    for text, n_vars in (("x1*x2 + x2*x1", 2), ("x1^3 - 3*x1", 1)):
+        mats, dim = _trie_rows(text, n_vars)
+        grading = _kernel._grading(mats, dim)
+        assert grading is not None, text
+        assert grading[2] == 2 and not _violations(mats, grading), text
+    assert _kernel._grading(*_trie_rows("x1^2 + x2^2", 2)) is None
+    # an entry with both a z^0 and a z^1 part fits neither parity; split
+    # over two letters, the letter weights absorb the difference
+    assert _kernel._grading([{0: [(1, (1, 1))]}], 2) is None
+    assert _kernel._grading([{0: [(1, (1,))]}, {0: [(1, (0, 1))]}], 2) is not None
+
+
+def test_grading_satisfies_its_entries():
+    # a grading is found whenever the rows were built to have one, and every
+    # grading found holds on every nonzero entry
+    import random
+
+    rng = random.Random(1502)
+    found = 0
+    for case in range(300):
+        graded = case % 2 == 0
+        mats, dim = random_kernel_rows(rng, graded)
+        grading = _kernel._grading(mats, dim)
+        if graded:
+            assert grading is not None, case
+        if grading is not None:
+            found += 1
+            assert not _violations(mats, grading), case
+    assert 150 < found < 300
+
+
+def test_solve_matches_dense_reference():
+    # seeded rows, graded and ungraded, with and without a modulus: every
+    # cell equals the dense order-by-order solve, and on graded rows that
+    # solve's P[j][l] is nonzero only at orders k = phi(j) + phi(l) (mod 2)
+    import random
+
+    rng = random.Random(1515)
+    kinds = set()
+    for case in range(60):
+        mats, dim = random_kernel_rows(rng, case % 2 == 0)
+        n_coeffs = rng.randint(1, 8)
+        grading = _kernel._grading(mats, dim)
+        kinds.add(grading is not None)
+        zeros = [0] * n_coeffs
+        for modulus in (0, 2, 97, 2**40 + 1):
+            expected = dense_solve(mats, dim, n_coeffs, modulus)
+            got = _kernel.solve(mats, dim, n_coeffs, modulus)
+            for j in range(dim):
+                for l in range(dim):
+                    cell = got.get(j, {}).get(l, zeros)
+                    assert cell == expected[j][l], (case, modulus, j, l)
+                    if grading is not None and not modulus:
+                        phase = grading[0]
+                        assert not any(
+                            c for k, c in enumerate(cell)
+                            if (k + phase[j] + phase[l]) % 2
+                        ), (case, j, l)
+    assert kinds == {True, False}
+
+
 def test_complex_decode():
     # (2+3i) s is normal with tau(((2+3i) s)^m) = (2+3i)^m Catalan(m/2)
     c = Scalar(2, 3)
@@ -332,6 +415,14 @@ def test_closed_forms_past_oracle_reach():
     mv = moments(parse_polynomial("x1*x2^2*x1", 2), 40)
     for m in range(1, 41):
         assert mv.value(m) == Scalar(math.comb(3 * m, m) // (2 * m + 1)), m
+    # graded inputs: s1 + ... + sn is semicircular of variance n, so
+    # tau((s1 + ... + sn)^(3m)) = n^(3m/2) Catalan(3m/2), and 0 at odd m
+    for n_vars in (3, 2):
+        text = "(" + " + ".join(f"x{v}" for v in range(1, n_vars + 1)) + ")^3"
+        mv = moments(parse_polynomial(text, n_vars), 24)
+        for m in range(1, 25):
+            expected = n_vars ** (3 * m // 2) * catalan(3 * m // 2) if m % 2 == 0 else 0
+            assert mv.value(m) == Scalar(expected), (text, m)
 
 
 def test_iterate_order_zero():
