@@ -5,6 +5,11 @@ M by encoding the moment generating series as a weighted automaton and
 solving a proper algebraic system in C[z]/(z^(M+1)).  A brute-force
 non-crossing-pairing oracle provides independent ground truth, and
 ``reference`` keeps the paper's own route through linear representations.
+
+``import freemoments`` loads only the engine path (``scalar``, ``ncpoly``,
+``engine``, ``_kernel``, ``errors`` and the standard ``fractions``).  The
+names of ``oracle``, ``reference`` and ``cli`` are exported too, and each
+loads its module on first access.
 """
 
 import importlib
@@ -27,27 +32,25 @@ from .ncpoly import (
     parse_polynomial,
     split_constant,
 )
-from .oracle import (
-    brute_moment,
-    catalan,
-    enumerate_nc_pairings,
-    free_cumulants,
-    moments_from_cumulants,
-    psemi_coefficient,
-    psemi_table,
-    word_moment,
-)
 from .scalar import Scalar
 
 __version__ = "0.1.0"
 
-# names of the paper's reference route and of the bench probe, imported on
-# first access (PEP 562): ``import freemoments`` loads neither module, and
-# ``freemoments moments`` never loads ``reference``
+# names of the oracle, of the paper's reference route and of the bench probe,
+# imported on first access (PEP 562): ``import freemoments`` loads none of
+# these modules, and ``freemoments moments`` never loads ``reference``
 _LAZY = {
     "BenchReport": "cli",
     "BenchRow": "cli",
     "complexity_probe": "cli",
+    "brute_moment": "oracle",
+    "catalan": "oracle",
+    "enumerate_nc_pairings": "oracle",
+    "free_cumulants": "oracle",
+    "moments_from_cumulants": "oracle",
+    "psemi_coefficient": "oracle",
+    "psemi_table": "oracle",
+    "word_moment": "oracle",
     "LinearRepresentation": "reference",
     "ZPoly": "reference",
     "build_zq_star": "reference",

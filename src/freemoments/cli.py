@@ -15,7 +15,8 @@ floating approximation alongside (never instead).  Exit codes: 0 success,
 1 verify mismatch, 2 parse or usage error (an option the subcommand does not
 take included, reported with that subcommand's usage), 3 internal error,
 4 size cap exceeded (the oracle's expansion cap or the parser's fixed
-limits), 130 interrupted (Ctrl-C).
+limits), 5 out of memory (the message names the subcommand and its
+``--max-order``, or ``--sweep`` for ``bench``), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import MAX_ORDER, moments
 from .errors import CapExceededError, ParseCapExceededError, PolyParseError, UsageError
@@ -47,6 +47,7 @@ EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 EXIT_CAP = 4
+EXIT_MEMORY = 5
 EXIT_INTERRUPTED = 130
 
 ENV_EXPANSION_CAP = "FREEMOMENTS_EXPANSION_CAP"
@@ -217,16 +218,14 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     max_order: int
     engine_seconds: float
     naive_seconds: Optional[float]   # None when the naive run was refused
     naive_capped: bool
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     rows: Tuple[BenchRow, ...]
     engine_slope: Optional[float] = None
 
@@ -417,8 +416,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_CAP
+    except MemoryError:
+        # str(MemoryError()) is usually empty: name the job that ran out
+        orders = (
+            f"--max-order {args.max_order}" if args.command != "bench"
+            else f"--sweep {args.sweep}"
+        )
+        print(f"error: out of memory in {args.command} at {orders}", file=sys.stderr)
+        return EXIT_MEMORY
     except Exception as exc:  # invariant violations and everything unexpected
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

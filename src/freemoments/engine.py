@@ -57,9 +57,8 @@ order from two ``Fraction``s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import _kernel
 from .ncpoly import NCPolynomial
@@ -71,9 +70,14 @@ from .scalar import Scalar
 MAX_ORDER = 10**4
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments tau(p(s)^m) for m = 1..M plus a few size statistics."""
+class MomentVector(NamedTuple):
+    """Moments tau(p(s)^m) for m = 1..M plus a few size statistics.
+
+    A ``NamedTuple`` (not a dataclass, whose module pulls ``inspect`` and
+    ``ast`` into ``import freemoments``): immutable, copyable and picklable,
+    and also a plain 5-tuple of its fields, so it unpacks, iterates, has
+    ``len`` 5 and compares equal to any tuple with the same fields.
+    """
 
     values: Tuple[Scalar, ...]
     rep_dim: int        # N states of the trie automaton, or 0 when p was

@@ -118,19 +118,30 @@ def test_moments_decimal_alongside(capsys):
 
 
 def test_moments_does_not_import_reference():
-    # a fresh process: the paper's reference route loads only when one of its
-    # names is asked for
+    # a fresh process: ``import freemoments`` loads only the engine path, and
+    # the oracle, the paper's reference route and the CLI load only when one
+    # of their names is asked for; neither loads ``dataclasses`` (which pulls
+    # in ``inspect``, ``ast`` and ``dis``)
     code = (
         "import sys\n"
-        "import freemoments, freemoments.cli\n"
+        "before = set(sys.modules)\n"
+        "import freemoments\n"
+        "unwanted = ['dataclasses', 'inspect', 'freemoments.oracle',"
+        " 'freemoments.reference', 'freemoments.cli']\n"
+        "loaded = [n for n in unwanted if n in set(sys.modules) - before]\n"
+        "assert not loaded, loaded\n"
+        "import freemoments.cli\n"
         "rc = freemoments.cli.main(['moments', '--poly', 'x1*x2 + x2*x1',"
         " '--max-order', '4', '--format', 'json'])\n"
         "assert rc == 0, rc\n"
-        "assert 'freemoments.reference' not in sys.modules\n"
+        "loaded = set(sys.modules) - before\n"
+        "assert 'dataclasses' not in loaded\n"
+        "assert 'freemoments.reference' not in loaded\n"
         "from freemoments import *\n"
         "missing = [n for n in freemoments.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"
         "assert freemoments.ZPoly is freemoments.reference.ZPoly\n"
+        "assert freemoments.brute_moment is freemoments.oracle.brute_moment\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(freemoments.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -378,6 +389,31 @@ def test_kernel_invariant_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
     assert code == 3
     assert "not nilpotent" in err
+
+
+def test_out_of_memory_exit_5(capsys, monkeypatch):
+    import freemoments._kernel as kernel_module
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(kernel_module, "solve", exhausted)
+    code, out, err = run(capsys, "moments", "--poly", "x1^2", "--max-order", "7")
+    assert code == 5
+    assert out == ""
+    assert err == "error: out of memory in moments at --max-order 7\n"
+
+
+def test_empty_internal_error_names_its_class(capsys, monkeypatch):
+    import freemoments._kernel as kernel_module
+
+    def failing(*args):
+        raise RuntimeError()
+
+    monkeypatch.setattr(kernel_module, "solve", failing)
+    code, _, err = run(capsys, "moments", "--poly", "x1^2", "--max-order", "2")
+    assert code == 3
+    assert err == "internal error: RuntimeError\n"
 
 
 def test_wrong_grading_exit_3(capsys, monkeypatch):

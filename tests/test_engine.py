@@ -18,7 +18,7 @@ from freemoments import (
 )
 from freemoments import _kernel
 from freemoments.cli import complexity_probe
-from freemoments.engine import MAX_ORDER, build_trie_rows
+from freemoments.engine import MAX_ORDER, MomentVector, build_trie_rows
 from freemoments.reference import iterate_system, reduce_rep, rep_variable
 
 import properties
@@ -155,9 +155,21 @@ def test_moments_metadata_complex():
 
 def test_moment_vector_deepcopy_and_pickle():
     mv = moments(parse_polynomial("i*x1*x2 - 1/2*x2*x1 + 1", 2), 4)
-    for clone in (copy.deepcopy(mv), pickle.loads(pickle.dumps(mv))):
-        assert clone == mv
+    clones = [copy.copy(mv), copy.deepcopy(mv)]
+    clones += [
+        pickle.loads(pickle.dumps(mv, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert type(clone) is MomentVector
+        assert clone == mv and hash(clone) == hash(mv)
         assert [str(v) for v in clone.values] == [str(v) for v in mv.values]
+        assert clone.max_order == 4 and clone.value(3) == mv.value(3)
+        for field in MomentVector._fields:
+            with pytest.raises(AttributeError):
+                setattr(clone, field, 0)
+    # a NamedTuple: also the plain 5-tuple of its fields, in this order
+    assert mv == (mv.values, mv.rep_dim, mv.n_vars, mv.degree, mv.n_terms)
 
 
 def test_moments_rational_scaling():
