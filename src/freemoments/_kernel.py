@@ -185,8 +185,13 @@ def _p_row(row: list, p: dict, j: int, k: int, n_coeffs: int, h: int, step: int)
 
 
 def _merged(p: dict) -> dict:
-    """P with each row's column phases joined into one dict."""
-    return {j: row[0] if len(row) == 1 else row[0] | row[1] for j, row in p.items()}
+    """P with each row's column phases joined into one dict, keeping only the
+    cells that are nonzero at some order: a cell is made when one product
+    written into it is nonzero, and its sum can still cancel to 0."""
+    return {
+        j: {l: cell for phase in row for l, cell in phase.items() if any(cell)}
+        for j, row in p.items()
+    }
 
 
 def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
@@ -221,7 +226,8 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
     ``AssertionError`` is raised before any arithmetic.  With a ``modulus``
     n, every cell of P and of the A_i written at order k is brought back
     into (-n/2, n/2] once order k is done, so P is exact modulo n.  Returns
-    P as sparse rows.
+    exactly the nonzero cells of P, as sparse rows: row j -> {column l:
+    coefficient list}.
     """
     found = _grading(mats, dim)
     grading = found or _trivial(mats, dim)

@@ -15,20 +15,25 @@ output and test fixtures are deterministic.
     literal:= uint ('/' uint)?  (exact rationals only)
 
 Juxtaposition is not multiplication; write ``3*x1``, not ``3x1``.  Decimal
-literals are rejected so that every coefficient stays exact.  The parser
-expands products and powers in full, so it refuses one whose result could
+literals are rejected so that every coefficient stays exact, and an exponent
+is an integer literal (``x1^4/2`` is refused at the exponent).  The parser
+evaluates on term maps (word -> nonzero Scalar) that carry their degree and
+largest coefficient bit length, and wraps one ``NCPolynomial`` at the end.
+It expands products and powers in full, so it refuses one whose result could
 exceed ``MAX_PARSE_TERMS`` terms, ``MAX_PARSE_DEGREE`` in degree or
-``MAX_PARSE_BITS`` in coefficient bit length before expanding it.
+``MAX_PARSE_BITS`` in coefficient bit length, judged on the exact sizes of
+both operands, before expanding it.
 """
 
 from __future__ import annotations
 
 import math
+import re as _re
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import ParseCapExceededError, PolyParseError, VariableMismatchError
-from .scalar import ONE, ZERO, Scalar
+from .scalar import I, ONE, ZERO, Scalar
 
 Word = Tuple[int, ...]
 
@@ -160,9 +165,7 @@ class NCPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPolynomial(
-            self.n_vars, {w: -c for w, c in self._terms.items()}
-        )
+        return _wrap(self.n_vars, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         other = NCPolynomial._coerce(other, self.n_vars)
@@ -182,13 +185,7 @@ class NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         self._check_vars(other)
-        out: Dict[Word, Scalar] = {}
-        for wa, ca in self._terms.items():
-            for wb, cb in other._terms.items():
-                word = wa + wb
-                prev = out.get(word)
-                out[word] = ca * cb if prev is None else prev + ca * cb
-        return NCPolynomial(self.n_vars, out)
+        return _wrap(self.n_vars, _product(self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -205,25 +202,12 @@ class NCPolynomial:
     def __pow__(self, exponent: int) -> "NCPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        if exponent == 0:
-            return NCPolynomial.constant(self.n_vars, ONE)
-        # square and multiply; the factors are powers of self, so they commute
-        result = None
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _wrap(self.n_vars, _power(self._terms, exponent))
 
     def adjoint(self) -> "NCPolynomial":
         """Formal adjoint: reverse every word, conjugate every coefficient."""
-        return NCPolynomial(
-            self.n_vars,
-            {tuple(reversed(w)): c.conjugate() for w, c in self._terms.items()},
-        )
+        terms = {tuple(reversed(w)): c.conjugate() for w, c in self._terms.items()}
+        return _wrap(self.n_vars, terms)
 
     def is_self_adjoint(self) -> bool:
         return self == self.adjoint()
@@ -284,6 +268,47 @@ class NCPolynomial:
         return f"NCPolynomial({self}, n_vars={self.n_vars})"
 
 
+# -- term maps: dicts Word -> nonzero Scalar, the ``_terms`` of a polynomial -------
+
+
+def _wrap(n_vars: int, terms: Dict[Word, Scalar]) -> NCPolynomial:
+    """A polynomial that takes a term map as it is, without re-validating."""
+    poly = object.__new__(NCPolynomial)
+    object.__setattr__(poly, "n_vars", n_vars)
+    object.__setattr__(poly, "_terms", terms)
+    return poly
+
+
+def _product(a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
+    """The noncommutative product of two term maps, as a new term map."""
+    out = {}
+    get = out.get
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = cb if ca is ONE else ca if cb is ONE else ca * cb
+            word = wa + wb
+            prev = get(word)
+            out[word] = c if prev is None else prev + c
+    if len(out) < len(a) * len(b):
+        # some words met; their sums may have cancelled (without a meeting
+        # every coefficient is a product of two nonzero scalars)
+        out = {w: c for w, c in out.items() if c}
+    return out
+
+
+def _power(terms: Dict[Word, Scalar], k: int) -> Dict[Word, Scalar]:
+    """``terms`` to the power k >= 0 by square and multiply; the factors are
+    powers of one map, so they commute."""
+    result = {WORD_UNIT: ONE}
+    while k:
+        if k & 1:
+            result = _product(result, terms)
+        k >>= 1
+        if k:
+            terms = _product(terms, terms)
+    return result
+
+
 def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     """Noncommutative product; factor order is preserved exactly."""
     return p * q
@@ -294,14 +319,11 @@ def split_constant(p: NCPolynomial) -> Tuple[Scalar, NCPolynomial]:
     c = p.coefficient(WORD_UNIT)
     if not c:
         return ZERO, p
-    rest = {w: coeff for w, coeff in p._terms.items() if w}
-    return c, NCPolynomial(p.n_vars, rest)
+    return c, _wrap(p.n_vars, {w: coeff for w, coeff in p._terms.items() if w})
 
 
 def infer_variable_count(text: str) -> int:
     """Highest variable index mentioned in the text (at least 1)."""
-    import re as _re
-
     best = 1
     for m in _re.finditer(r"x([0-9]+)", text):
         best = max(best, int(m.group(1)))
@@ -317,107 +339,81 @@ _DIGITS = frozenset("0123456789")
 
 def _tokenize(text: str):
     if "." in text:
-        raise PolyParseError(
-            "decimal literals are not supported; use exact fractions like 3/2",
-            text,
-            text.index("."),
-        )
+        message = "decimal literals are not supported; use exact fractions like 3/2"
+        raise PolyParseError(message, text, text.index("."))
     tokens = []
     i = 0
     length = len(text)
     while i < length:
+        start = i
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
+        i += 1
+        if ch in _DIGITS or ch == "x":
             while i < length and text[i] in _DIGITS:
                 i += 1
-            numerator = int(text[start:i])
+            if ch == "x":
+                if i == start + 1:
+                    raise PolyParseError("expected variable index after 'x'", text, i)
+                tokens.append(("VAR", int(text[start + 1 : i]), start))
+                continue
+            # an int, so that an exponent can refuse a fraction
+            value = int(text[start:i])
             if i < length and text[i] == "/":
-                i += 1
-                if i >= length or text[i] not in _DIGITS:
-                    raise PolyParseError("expected digits after '/'", text, i)
-                den_start = i
+                i = den_start = i + 1
                 while i < length and text[i] in _DIGITS:
                     i += 1
+                if i == den_start:
+                    raise PolyParseError("expected digits after '/'", text, i)
                 denominator = int(text[den_start:i])
-                if denominator == 0:
+                if not denominator:
                     raise PolyParseError("zero denominator", text, den_start)
-                tokens.append(("NUM", Fraction(numerator, denominator), start))
-            else:
-                tokens.append(("NUM", Fraction(numerator), start))
-            continue
-        if ch == "x":
-            start = i
-            i += 1
-            if i >= length or text[i] not in _DIGITS:
-                raise PolyParseError("expected variable index after 'x'", text, i)
-            while i < length and text[i] in _DIGITS:
-                i += 1
-            tokens.append(("VAR", int(text[start + 1 : i]), start))
-            continue
-        if ch == "i":
-            tokens.append(("IMAG", None, i))
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, None, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", text, i)
+                value = Fraction(value, denominator)
+            tokens.append(("NUM", value, start))
+        elif ch in "+-*^()i":
+            tokens.append(("IMAG" if ch == "i" else ch, None, start))
+        elif not ch.isspace():
+            raise PolyParseError(f"unexpected character {ch!r}", text, start)
     tokens.append(("END", None, length))
     return tokens
 
 
-def _bits(poly: NCPolynomial) -> int:
+def _bits(coeffs: Iterable[Scalar]) -> int:
     """Largest bit length of a coefficient's numerator or denominator."""
-    return max(
-        (
-            x.bit_length()
-            for c in poly._terms.values()
-            for part in (c.re, c.im)
-            for x in (part.numerator, part.denominator)
-        ),
-        default=0,
-    )
+    best = 0
+    for c in coeffs:
+        re, im = c.re, c.im
+        best = max(best, re.numerator.bit_length(), re.denominator.bit_length(),
+                   im.numerator.bit_length(), im.denominator.bit_length())
+    return best
 
 
 class _Parser:
+    """Evaluates the grammar on term maps.  ``_expr`` and ``_term`` return
+    ``(terms, degree)`` and ``_factor`` and ``_atom`` also the largest
+    coefficient bit length; each is exact and the map is the caller's own."""
+
     def __init__(self, text: str, n_vars: int):
         self.text = text
         self.n_vars = n_vars
-        self.tokens = _tokenize(text)
-        self.cursor = 0
+        # reversed, so that pop() takes the next token; taking END always raises
+        self.tokens = _tokenize(text)[::-1]
 
-    def _peek(self):
-        return self.tokens[self.cursor]
-
-    def _advance(self):
-        token = self.tokens[self.cursor]
-        self.cursor += 1
-        return token
-
-    def parse(self) -> NCPolynomial:
-        poly = self._expr()
-        kind, _, pos = self._peek()
-        if kind != "END":
-            raise PolyParseError("unexpected trailing input", self.text, pos)
-        return poly
-
-    def _expr(self) -> NCPolynomial:
-        sign = 1
-        if self._peek()[0] in ("+", "-"):
-            sign = -1 if self._advance()[0] == "-" else 1
-        poly = self._term()
-        if sign < 0:
-            poly = -poly
-        while self._peek()[0] in ("+", "-"):
-            op = self._advance()[0]
-            term = self._term()
-            poly = poly - term if op == "-" else poly + term
-        return poly
+    def _expr(self):
+        acc = {}
+        get = acc.get
+        op = self.tokens.pop()[0] if self.tokens[-1][0] in ("+", "-") else "+"
+        while True:
+            terms, _ = self._term()
+            for word, c in terms.items():
+                if op == "-":
+                    c = -c
+                prev = get(word)
+                acc[word] = c if prev is None else prev + c
+            if self.tokens[-1][0] not in ("+", "-"):
+                break
+            op = self.tokens.pop()[0]
+        acc = {w: c for w, c in acc.items() if c}
+        return acc, max(map(len, acc), default=0)
 
     def _refuse_expansion(self, pos: int):
         raise ParseCapExceededError(
@@ -426,66 +422,61 @@ class _Parser:
             f"{MAX_PARSE_BITS}-bit coefficients"
         )
 
-    def _term(self) -> NCPolynomial:
-        poly = self._factor()
-        while self._peek()[0] == "*":
-            pos = self._advance()[2]
-            factor = self._factor()
-            if (
-                poly.degree + factor.degree > MAX_PARSE_DEGREE
-                or poly.n_terms * factor.n_terms > MAX_PARSE_TERMS
-                or _bits(poly) + _bits(factor) > MAX_PARSE_BITS
-            ):
+    def _term(self):
+        terms, degree, bits = self._factor()
+        while self.tokens[-1][0] == "*":
+            pos = self.tokens.pop()[2]
+            f_terms, f_degree, f_bits = self._factor()
+            if bits is None:  # a product's is taken only once it is an operand
+                bits = _bits(terms.values())
+            if (degree + f_degree > MAX_PARSE_DEGREE or bits + f_bits > MAX_PARSE_BITS
+                    or len(terms) * len(f_terms) > MAX_PARSE_TERMS):
                 self._refuse_expansion(pos)
-            poly = poly * factor
-        return poly
+            terms = _product(terms, f_terms)
+            # the free algebra has no zero divisors: a nonzero product's
+            # degree is the sum of its factors'
+            degree = degree + f_degree if terms else 0
+            bits = None
+        return terms, degree
 
-    def _factor(self) -> NCPolynomial:
-        atom = self._atom()
-        if self._peek()[0] == "^":
-            self._advance()
-            kind, value, pos = self._advance()
-            if kind != "NUM" or value.denominator != 1 or value < 0:
-                raise PolyParseError(
-                    "exponent must be a nonnegative integer", self.text, pos
-                )
-            k = int(value)
-            # n^k is evaluated only once the degree and the bit length fit,
-            # which bounds k (a coefficient has at least one bit)
-            if (
-                atom.degree * k > MAX_PARSE_DEGREE
-                or _bits(atom) * k > MAX_PARSE_BITS
-                or atom.n_terms ** k > MAX_PARSE_TERMS
-            ):
-                self._refuse_expansion(pos)
-            return atom ** k
-        return atom
+    def _factor(self):
+        terms, degree, bits = self._atom()
+        if self.tokens[-1][0] != "^":
+            return terms, degree, bits
+        self.tokens.pop()
+        kind, k, pos = self.tokens.pop()
+        if kind != "NUM" or k.__class__ is not int:
+            raise PolyParseError("exponent must be a nonnegative integer", self.text, pos)
+        # the power is taken only once the degree and the bit length fit,
+        # which bounds k (a nonzero coefficient has at least one bit)
+        if (degree * k > MAX_PARSE_DEGREE or bits * k > MAX_PARSE_BITS
+                or len(terms) ** k > MAX_PARSE_TERMS):
+            self._refuse_expansion(pos)
+        terms = _power(terms, k)
+        return terms, degree * k, _bits(terms.values())
 
-    def _atom(self) -> NCPolynomial:
-        kind, value, pos = self._advance()
+    def _atom(self):
+        kind, value, pos = self.tokens.pop()
         if kind == "NUM":
-            return NCPolynomial.constant(self.n_vars, Scalar(value))
+            if not value:
+                return {}, 0, 0
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+            return {WORD_UNIT: Scalar(value)}, 0, bits
         if kind == "IMAG":
-            return NCPolynomial.constant(self.n_vars, Scalar(0, 1))
+            return {WORD_UNIT: I}, 0, 1
         if kind == "VAR":
             if not 1 <= value <= self.n_vars:
-                raise PolyParseError(
-                    f"variable index x{value} out of range (n_vars={self.n_vars})",
-                    self.text,
-                    pos,
-                )
-            return NCPolynomial.variable(self.n_vars, value)
+                message = f"variable index x{value} out of range (n_vars={self.n_vars})"
+                raise PolyParseError(message, self.text, pos)
+            return {(value,): ONE}, 1, 1
         if kind == "(":
-            poly = self._expr()
-            kind, _, pos = self._advance()
+            terms, degree = self._expr()
+            kind, _, pos = self.tokens.pop()
             if kind != ")":
                 raise PolyParseError("expected ')'", self.text, pos)
-            return poly
-        raise PolyParseError(
-            "expected a variable, literal or parenthesized expression",
-            self.text,
-            pos,
-        )
+            return terms, degree, _bits(terms.values())
+        message = "expected a variable, literal or parenthesized expression"
+        raise PolyParseError(message, self.text, pos)
 
 
 def parse_polynomial(text: str, n_vars: int) -> NCPolynomial:
@@ -497,4 +488,9 @@ def parse_polynomial(text: str, n_vars: int) -> NCPolynomial:
     """
     if n_vars < 1:
         raise ValueError("n_vars must be a positive integer")
-    return _Parser(text, n_vars).parse()
+    parser = _Parser(text, n_vars)
+    terms, _ = parser._expr()
+    kind, _, pos = parser.tokens[-1]
+    if kind != "END":
+        raise PolyParseError("unexpected trailing input", text, pos)
+    return _wrap(n_vars, terms)

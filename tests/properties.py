@@ -219,6 +219,121 @@ def check_parser_roundtrip(cases=200, seed=105):
         assert parse_polynomial(str(poly), n_vars) == poly
 
 
+# Expression trees: ("var", i), ("num", Fraction >= 0), ("i",), ("neg", t),
+# ("+", a, b), ("-", a, b), ("*", a, b) and ("^", t, k).  The reference
+# expands them on its own dicts word -> (re, im), so it shares nothing with
+# the parser or with the NCPolynomial operators (which share its product).
+
+
+def random_tree(rng, n_vars, depth=5):
+    """A random tree with zero literals (0*x, t - t) mixed in."""
+    if depth == 0 or (depth < 4 and rng.random() < 0.2):
+        kind = rng.choice(("var", "var", "var", "num", "i"))
+        if kind == "var":
+            return ("var", rng.randint(1, n_vars))
+        if kind == "num":
+            num = rng.choice((0, 1, 1, 2, 3, 5, 12))
+            return ("num", Fraction(num, rng.choice((1, 1, 2, 3, 4))))
+        return ("i",)
+    kind = rng.choice("++++---****^^^~0=")  # ~ negates, 0 is 0*t and = is t - t
+    if kind == "~":
+        return ("neg", random_tree(rng, n_vars, depth - 1))
+    if kind == "^":
+        # a small base, so that the expansion stays small
+        return ("^", random_tree(rng, n_vars, min(depth - 1, 2)), rng.randint(0, 3))
+    if kind == "0":
+        return ("*", ("num", Fraction(0)), random_tree(rng, n_vars, depth - 1))
+    if kind == "=":
+        sub = random_tree(rng, n_vars, min(depth - 1, 2))
+        return ("-", sub, sub)
+    return (kind, random_tree(rng, n_vars, depth - 1), random_tree(rng, n_vars, depth - 1))
+
+
+def render_tree(rng, tree):
+    """(text, level) with the fewest parentheses the grammar needs: level 0 is
+    an expr, 1 a term, 2 a factor and 3 an atom."""
+
+    def at_least(sub, level):
+        text, got = render_tree(rng, sub)
+        return text if got >= level else f"({text})"
+
+    kind = tree[0]
+    if kind == "var":
+        return f"x{tree[1]}", 3
+    if kind == "num":
+        value = tree[1]
+        den = value.denominator
+        # written unreduced at random: 2/4 for 1/2, 6/2 for 3
+        scale = rng.choice((1, 1, 2))
+        text = f"{value.numerator * scale}"
+        if den != 1 or scale != 1:
+            text += f"/{den * scale}"
+        return text, 3
+    if kind == "i":
+        return "i", 3
+    if kind == "neg":
+        return "-" + at_least(tree[1], 1), 0
+    if kind in ("+", "-"):
+        op = rng.choice((kind, f" {kind} "))
+        return render_tree(rng, tree[1])[0] + op + at_least(tree[2], 1), 0
+    if kind == "*":
+        return at_least(tree[1], 1) + "*" + at_least(tree[2], 2), 1
+    exponent = rng.choice(("", "", "0")) + str(tree[2])  # x^02 is x^2
+    return at_least(tree[1], 3) + "^" + exponent, 2
+
+
+def expand_tree(tree):
+    """The tree's polynomial as {word: (re, im)}, without zero terms."""
+    kind = tree[0]
+    if kind == "var":
+        return {(tree[1],): (Fraction(1), Fraction(0))}
+    if kind in ("num", "i"):
+        value = (tree[1], Fraction(0)) if kind == "num" else (Fraction(0), Fraction(1))
+        return {(): value} if any(value) else {}
+    if kind == "neg":
+        return {w: (-a, -b) for w, (a, b) in expand_tree(tree[1]).items()}
+    if kind == "^":
+        out = {(): (Fraction(1), Fraction(0))}
+        for _ in range(tree[2]):
+            out = _tree_product(out, expand_tree(tree[1]))
+        return out
+    left, right = expand_tree(tree[1]), expand_tree(tree[2])
+    if kind == "*":
+        return _tree_product(left, right)
+    sign = 1 if kind == "+" else -1
+    out = dict(left)
+    for w, (a, b) in right.items():
+        re, im = out.get(w, (0, 0))
+        out[w] = (re + sign * a, im + sign * b)
+    return {w: c for w, c in out.items() if any(c)}
+
+
+def _tree_product(left, right):
+    out = {}
+    for wa, (a, b) in left.items():
+        for wb, (c, d) in right.items():
+            re, im = out.get(wa + wb, (0, 0))
+            out[wa + wb] = (re + a * c - b * d, im + a * d + b * c)
+    return {w: c for w, c in out.items() if any(c)}
+
+
+def check_parser_expression_trees(cases=500, seed=120):
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(cases):
+        n_vars = rng.randint(1, 3)
+        tree = random_tree(rng, n_vars)
+        text, _ = render_tree(rng, tree)
+        want = expand_tree(tree)
+        got = parse_polynomial(text, n_vars)
+        assert {w: (c.re, c.im) for w, c in got.unordered_terms()} == want, text
+        assert got.n_terms == len(want), text
+        assert got.degree == max(map(len, want), default=0), text
+        kinds.add("zero" if not want else "complex" if any(b for _, b in want.values())
+                  else "real")
+    assert kinds == {"zero", "real", "complex"}
+
+
 def check_multiply_assoc_degree(cases=200, seed=106):
     rng = random.Random(seed)
     for _ in range(cases):

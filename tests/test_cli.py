@@ -179,6 +179,11 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     assert "position 2" in err and "internal error" not in err
 
+    # a fraction in an exponent is refused, not reduced to x1^2
+    code, out, err = run(capsys, "moments", "--poly", "x1^4/2", "--max-order", "2")
+    assert code == 2 and not out
+    assert "exponent" in err and "position 3" in err
+
 
 def test_usage_errors_exit_2(capsys, monkeypatch):
     for argv in [

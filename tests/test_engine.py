@@ -294,9 +294,10 @@ def test_grading_satisfies_its_entries():
 
 
 def test_solve_matches_dense_reference():
-    # seeded rows, graded and ungraded, with and without a modulus: every
-    # cell equals the dense order-by-order solve, and on graded rows that
-    # solve's P[j][l] is nonzero only at orders k = phi(j) + phi(l) (mod 2)
+    # seeded rows, graded and ungraded, with and without a modulus: the
+    # cells returned are exactly the nonzero cells of the dense order-by-order
+    # solve, each equal to it, and on graded rows that solve's P[j][l] is
+    # nonzero only at orders k = phi(j) + phi(l) (mod 2)
     import random
 
     rng = random.Random(1515)
@@ -310,6 +311,12 @@ def test_solve_matches_dense_reference():
         for modulus in (0, 2, 97, 2**40 + 1):
             expected = dense_solve(mats, dim, n_coeffs, modulus)
             got = _kernel.solve(mats, dim, n_coeffs, modulus)
+            nonzero = {
+                (j, l) for j in range(dim) for l in range(dim) if any(expected[j][l])
+            }
+            assert {(j, l) for j, row in got.items() for l in row} == nonzero, (
+                case, modulus,
+            )
             for j in range(dim):
                 for l in range(dim):
                     cell = got.get(j, {}).get(l, zeros)

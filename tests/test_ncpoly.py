@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,20 @@ def test_parse_syntax_errors_carry_position():
         assert err.value.position == position, text
 
 
+def test_parse_exponent_must_be_an_integer_literal():
+    # the grammar has '^' uint: a fraction is refused at the exponent, not
+    # reduced (4/2 is not 2, and 2/1 is not 2 either)
+    for text, position in [
+        ("x1^4/2", 3), ("x1^2/1", 3), ("x1^-1", 3), ("x1^x2", 3), ("(x1+1)^ 1/1", 8),
+    ]:
+        with pytest.raises(PolyParseError, match="exponent") as err:
+            parse_polynomial(text, 2)
+        assert err.value.position == position, text
+    assert parse_polynomial("x1^02", 1) == parse_polynomial("x1*x1", 1)
+    # a fraction as the base is still a literal
+    assert parse_polynomial("1/2^2*x1", 1) == parse_polynomial("1/4*x1", 1)
+
+
 def test_parse_rejects_decimals():
     with pytest.raises(PolyParseError) as err:
         parse_polynomial("1.5*x1", 1)
@@ -147,6 +162,10 @@ def test_multiply_examples():
     q = parse_polynomial("2*x1*x2 - x2", 2)
     assert multiply(q, one) == q
 
+    # words that meet and cancel leave no zero term
+    p = multiply(x1 + one, x1 - one)
+    assert p.n_terms == 2 and p == parse_polynomial("x1^2 - 1", 2)
+
 
 def test_multiply_nvars_mismatch():
     with pytest.raises(VariableMismatchError):
@@ -177,6 +196,31 @@ def test_parse_refuses_blowups_before_expanding():
     assert parse_polynomial("x1^10000", 1).degree == 10000
 
 
+def test_parse_cap_boundaries():
+    # each cap is checked on the exact sizes of both operands: a size that
+    # meets a cap is accepted, one past it refused
+    p = parse_polynomial("(2^49999)*(2^49999)", 1)  # 50000 + 50000 bits
+    assert p == NCPolynomial.constant(1, 2**99998)
+    assert parse_polynomial("x1^5000*x1^5000", 1).degree == MAX_PARSE_DEGREE
+    for text in [
+        "(2^50000)*(2^50000)", "x1^5000*x1^5001", "(x1+x2)^17",
+        "2^40000*2^40000*2^40000",  # the product's 80001 bits, not 40001
+    ]:
+        with pytest.raises(ParseCapExceededError):
+            parse_polynomial(text, 2)
+    # the product's sizes are its own after cancellation: (x1+1)*(x1-1) has
+    # 2 terms, not 4, and x1*x1 - x1*x1 is 0 of degree 0
+    assert parse_polynomial("((x1+1)*(x1-1))^16", 1).n_terms == 17
+    # 2 * 2^15 terms are within the cap, 4 * 2^15 would not be
+    assert parse_polynomial("(x1+1)*(x1-1)*(x1+x2)^15", 2).n_terms == 2**16
+    assert parse_polynomial("(x1*x1 - x1*x1)^100000*x1^10000", 1).is_zero()
+    assert parse_polynomial("0*x1^5000*x1^5001", 1).is_zero()
+    # the zero polynomial's power costs nothing
+    start = time.perf_counter()
+    assert parse_polynomial("(x1-x1)^100000", 1).is_zero()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_canonical_term_order_and_str():
     p = parse_polynomial("x1^3 - 3*x1 + 2", 1)
     words = [w for w, _ in p.terms()]
@@ -198,6 +242,10 @@ def test_adjoint_and_self_adjointness():
 
 def test_parser_roundtrip_suite():
     properties.check_parser_roundtrip()
+
+
+def test_parser_expression_tree_suite():
+    properties.check_parser_expression_trees()
 
 
 def test_multiply_assoc_degree_suite():
