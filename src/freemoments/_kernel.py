@@ -11,38 +11,44 @@ as ``int`` zeros either way, and a ``Scalar`` combines with them through
 ``__radd__`` and ``__rmul__``.  This module imports nothing from
 ``reference``.
 
-The mu_i matrices stay extremely sparse (a handful of nonzero rows, entries
-of z-degree <= 1), so P and A_i = mu_i (P + I) are stored as dicts of
-nonzero rows, each a dict of nonzero columns.  None of this changes the
-result: it is classical matrix multiplication with zero blocks skipped.
+With Q = P + I, (mu_i Q)^2 = mu_i Q mu_i Q, so Q = I + B Q with
+B = eta(Q) = sum_i mu_i Q mu_i: the operator-valued semicircular equation
+(Helton, Rashidi Far and Speicher, IMRN 2007).  The mu_i entries have
+z-degree <= 1, so order k of B is a sum of single products that read Q at
+orders k, k - 1 and k - 2, and only B Q is a convolution: one
+matrix-series product per order, whatever the number of letters.  B and Q
+(with its I, which ``_merged`` takes off) are rows of dicts of nonzero
+cells, zero blocks skipped.  A cell is its M + 1 coefficients and then
+the order it was made at, below which it is 0; a dict holds its cells in
+that order, so ``_q_row`` drops every product that cannot reach order k.
 
-The arithmetic lives in two helpers: ``_a_row`` adds one order of one row
-to every A_i, and ``_p_row`` the same order and row of sum_i A_i^2 to P.
-``iterate`` is the paper's sweep, which only the reference route calls: it
-runs them on every row and order, ``steps`` times from P = 0.  ``solve``
-runs them once per row and order.  Order k of P depends on P[0..k-1] and
-on P[k] only through the z^0 part of the mu_i; when that part is strictly
-upper triangular, row j of order k reads only higher rows of order k, so
-taking the rows from last to first is a back-substitution and every value
-is final when it is written.
+``_b_row`` adds one order of one row of B, and ``_q_row`` the same order
+and row of B Q to Q.  ``iterate`` is the paper's sweep, which only the
+reference route calls: ``steps`` times from P = 0, B from the old Q and
+then the new Q from B and the old Q, every row and order.  ``solve`` runs
+them once per row and order.  Order k of B and of Q reads Q[k] only
+through the z^0 part of the mu_i; when that part is strictly upper
+triangular, so are those of P and B, and row j of order k reads only
+higher rows of order k: taking the rows from last to first is a
+back-substitution, and every value is final when it is written.
 
 ``solve`` also skips the orders a cell cannot hold.  For free semicirculars
 tau(w) = 0 unless every letter occurs in w an even number of times, and the
 rows often carry the parity this leaves.  ``_grading`` looks for a phase
 phi(j) per state and a weight chi_i per letter with
 phi(j) + phi(t) + chi_i = e (mod 2) for every nonzero z^e coefficient at
-(j, t) of mu_i, by elimination over GF(2).  If there is one, P[j][l] is
-nonzero only at orders k = phi(j) + phi(l) and A_i[j][l] only at orders
-k = phi(j) + phi(l) + chi_i (mod 2), by induction on the fixed point: a z^e
-entry at (j, t) times (P + I)[t][l] at order k' = phi(t) + phi(l) (the I
-at k' = 0, t = l) lands at e + k' = phi(j) + phi(l) + chi_i, and
-A_i[j][t] A_i[t][l] at phi(j) + phi(l), since phi(t) and chi_i cancel.  So
-every row of P and of the A_i keeps one column dict per phase, order k
-writes only the phase it allows, and ``_p_row`` convolves with stride 2,
-``f[r0:k+1:2]`` against ``g[k-r0::-2]``, where r0 is the parity of the
-orders of f.  Rows without a grading (``x1^2 + x2^2``, or any entry with
-both a z^0 and a z^1 part) run the same loop on the trivial grading: every
-phase 0, stride 1, one column dict per row.  ``solve`` checks every entry
+(j, t) of mu_i, by elimination over GF(2).  If there is one, Q[j][l] and
+B[j][l] are nonzero only at orders k = phi(j) + phi(l), by induction on the
+fixed point: a z^e1 entry at (j, t) of mu_i, Q[t][u] at an order of
+parity phi(t) + phi(u) and a z^e2 entry at (u, s) of the same mu_i land at
+phi(j) + phi(s) + 2 (phi(t) + phi(u) + chi_i), where chi_i cancels, and
+B[j][s] Q[s][l] at phi(j) + phi(l).  So B and Q share one layout, a
+column dict per phase in every row; order k writes only the phase it
+allows, and ``_q_row`` convolves with stride 2, ``f[v:k+1:2]`` against
+``g[k-v::-2]``, where the order v that f was made at has the parity of its
+orders.  Rows without a grading (``x1^2 + x2^2``, or any entry with both a
+z^0 and a z^1 part) run the same loop on the trivial grading: every phase
+0, stride 1, one column dict per row.  ``solve`` checks every entry
 against the grading it derived before any arithmetic.
 """
 
@@ -102,96 +108,93 @@ def _grading(mats: SparseMats, dim: int) -> Optional[Grading]:
     return bits[:dim], bits[dim:], 2
 
 
-def _rows(mats: SparseMats, grading: Grading) -> list:
-    """Per row j, one ``(A_i, row j of A_i, row j of mu_i, phi(j) + chi_i)``
-    for every letter i whose mu_i has row j, the phase sum taken mod step.
-
-    Row j of A_i = mu_i (P + I) is nonzero only where mu_i has row j, so
-    these lists hold every A_i row there is.  A row of A_i (and of P) is a
-    tuple of ``step`` column dicts, one per column phase.
-    """
-    phase, chi, step = grading
-    rows = [[] for _ in phase]
-    for i, mu in enumerate(mats):
-        a: dict = {}
+def _paths(mats: SparseMats, grading: Grading) -> list:
+    """Per row j, one ``(ends, t, e, c)`` for every nonzero z^e coefficient c
+    of an entry (j, t) of some mu_i, where ``ends[h]`` lists, for each row u
+    of that mu_i, ``(phi(u), u, tails)`` with ``tails`` its nonzero
+    coefficients ``(s, e2, c2)`` at the columns s of phase h: the two ends
+    of the products mu_i[j][t] Q[t][u] mu_i[u][s]."""
+    phase, _, step = grading
+    paths = [[] for _ in phase]
+    for mu in mats:
+        ends = [{}, {}][:step]
         for j, entries in mu.items():
-            a_j = a[j] = ({}, {})[:step]
-            rows[j].append((a, a_j, entries, (phase[j] + chi[i]) % step))
-    return rows
+            for t, zp in entries:
+                for e, c in enumerate(zp):
+                    if c:
+                        ends[phase[t]].setdefault(j, []).append((t, e, c))
+                        paths[j].append((ends, t, e, c))
+        ends[:] = [[(phase[u], u, tails) for u, tails in by_u.items()] for by_u in ends]
+    return paths
 
 
-def _a_row(row: list, p: dict, k: int, n_coeffs: int, kp: int):
-    """Add order k of row j of A_i = mu_i (P + I), read from ``p``, for every
-    A_i in ``row``, the ``_rows`` entry of row j; ``kp`` is k mod step."""
-    for _, a_j, entries, offset in row:
-        # the one column phase of row j of A_i at order k: it is also the
-        # phase of the P[t] columns that order k reads at z^(k-e)
-        h = offset ^ kp
-        out = a_j[h]
-        for t, zp in entries:
-            p_t = p.get(t)
-            for e, c in enumerate(zp[: k + 1]):
-                if not c:
-                    continue
-                if e == k:  # the I in P + I
-                    cell = out.get(t)
-                    if cell is None:
-                        cell = out[t] = [0] * n_coeffs
-                    cell[k] += c
-                if p_t is None:
-                    continue
-                for l, src in p_t[h].items():
-                    x = src[k - e]
+def _identity(grading: Grading, n_coeffs: int) -> list:
+    """Q = P + I with P = 0, as rows of one column dict per phase."""
+    phase, _, step = grading
+    q = [({}, {})[:step] for _ in phase]
+    for j, h in enumerate(phase):
+        q[j][h][j] = [1] + [0] * n_coeffs
+    return q
+
+
+def _b_row(row: list, q: list, out: dict, k: int, h: int, n_coeffs: int):
+    """Add order k of row j of B = eta(Q) = sum_i mu_i Q mu_i, read from
+    ``q``, to ``out``, the column dict of phase h of row j of B; ``row`` is
+    the ``_paths`` entry of row j."""
+    for ends, t, e1, c1 in row:
+        q_t = q[t]
+        for hu, u, tails in ends[h]:
+            src = q_t[hu].get(u)
+            if src is not None:
+                for s, e2, c2 in tails:
+                    r = k - e1 - e2
+                    if r >= 0:
+                        x = src[r]
+                        if x:
+                            cell = out.get(s)
+                            if cell is None:
+                                cell = out[s] = [0] * n_coeffs + [k]
+                            cell[k] += c1 * c2 * x
+
+
+def _q_row(b_j: tuple, q: list, out: dict, k: int, h: int, step: int, n_coeffs: int):
+    """Add order k of row j of B Q, with Q read from ``q``, to ``out``, the
+    column dict of phase h of row j of Q."""
+    for mid in b_j:
+        for s, f in mid.items():
+            cols = q[s][h]
+            if cols:
+                # B[j][s] is 0 below order v and off every step-th order, so
+                # only the Q[s][l] of phase h made by order k - v contribute
+                v = f[-1]
+                back = k - v
+                head = f[v : k + 1 : step]
+                for l, g in cols.items():
+                    if g[-1] > back:  # made too late, as is every later cell
+                        break
+                    x = sum(map(_mul, head, g[back::-step]))
                     if x:
                         cell = out.get(l)
                         if cell is None:
-                            cell = out[l] = [0] * n_coeffs
-                        cell[k] += c * x
+                            cell = out[l] = [0] * n_coeffs + [k]
+                        cell[k] += x
 
 
-def _p_row(row: list, p: dict, j: int, k: int, n_coeffs: int, h: int, step: int):
-    """Add order k of row j of sum_i A_i^2 to ``p``, whose row j takes only
-    column phase ``h`` at order k."""
-    out = None
-    for a, a_j, _, r0 in row:
-        for mid in a_j:
-            # A_i[j][t] is nonzero only at orders r = r0 mod step, and then
-            # A_i[t][l] at order k - r only for l of phase h; the second
-            # column phase of a graded row has the other parity
-            if mid and r0 <= k:
-                head_end = k + 1
-                back = k - r0
-                for t, f in mid.items():
-                    a_t = a.get(t)
-                    if a_t is None:
-                        continue
-                    cols = a_t[h]
-                    if not cols:
-                        continue
-                    head = f[r0:head_end:step]
-                    for l, g in cols.items():
-                        x = sum(map(_mul, head, g[back::-step]))
-                        if x:
-                            if out is None:
-                                p_j = p.get(j)
-                                if p_j is None:
-                                    p_j = p[j] = ({}, {})[:step]
-                                out = p_j[h]
-                            cell = out.get(l)
-                            if cell is None:
-                                cell = out[l] = [0] * n_coeffs
-                            cell[k] += x
-            r0 ^= 1
-
-
-def _merged(p: dict) -> dict:
-    """P with each row's column phases joined into one dict, keeping only the
-    cells that are nonzero at some order: a cell is made when one product
-    written into it is nonzero, and its sum can still cancel to 0."""
-    return {
-        j: {l: cell for phase in row for l, cell in phase.items() if any(cell)}
-        for j, row in p.items()
-    }
+def _merged(q: list) -> dict:
+    """P = Q - I, each row's phases joined into one dict and each cell without
+    its made-at order; only cells nonzero at some order (a product written
+    into a cell is nonzero, but the sum can cancel) and no empty row."""
+    p = {}
+    for j, row in enumerate(q):
+        for cols in row:
+            for cell in cols.values():
+                cell.pop()
+            if j in cols:
+                cols[j][0] -= 1
+        cells = {l: cell for cols in row for l, cell in cols.items() if any(cell)}
+        if cells:
+            p[j] = cells
+    return p
 
 
 def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
@@ -200,22 +203,23 @@ def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
     ``mats`` holds the reduced representation matrices with rows of
     (column, z-coefficient-tuple) pairs; ``n_coeffs`` is M + 1.  Each step
     reads only the previous P (a Jacobi sweep): at every order, all rows of
-    every A_i first, then all rows of the new P.  It runs on the trivial
-    grading.
+    B = eta(P + I) first, then all rows of the new P + I = I + B (P + I).
+    It runs on the trivial grading.
     """
     grading = _trivial(mats, dim)
-    p: dict = {}
+    paths = _paths(mats, grading)
+    q = _identity(grading, n_coeffs)
     for _ in range(steps):
-        new: dict = {}
-        rows = _rows(mats, grading)
+        b = [({},) for _ in paths]
+        new = _identity(grading, n_coeffs)
         for k in range(n_coeffs):
             # on the trivial grading every phase is 0 and the stride 1
-            for row in rows:
-                _a_row(row, p, k, n_coeffs, 0)
-            for j, row in enumerate(rows):
-                _p_row(row, new, j, k, n_coeffs, 0, 1)
-        p = new
-    return _merged(p).get(0, {}).get(dim - 1, [0] * n_coeffs)
+            for row, b_j in zip(paths, b):
+                _b_row(row, q, b_j[0], k, 0, n_coeffs)
+            for b_j, new_j in zip(b, new):
+                _q_row(b_j, q, new_j[0], k, 0, 1, n_coeffs)
+        q = new
+    return _merged(q).get(0, {}).get(dim - 1, [0] * n_coeffs)
 
 
 def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
@@ -224,10 +228,10 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
     Every z^0 entry (j, t) of the mu_i must have t > j, and every nonzero
     entry must satisfy the grading ``_grading`` derives; otherwise
     ``AssertionError`` is raised before any arithmetic.  With a ``modulus``
-    n, every cell of P and of the A_i written at order k is brought back
-    into (-n/2, n/2] once order k is done, so P is exact modulo n.  Returns
+    n, every cell of B and of Q written at order k is brought back into
+    (-n/2, n/2] once its row is done, so P is exact modulo n.  Returns
     exactly the nonzero cells of P, as sparse rows: row j -> {column l:
-    coefficient list}.
+    coefficient list}, with no empty row.
     """
     found = _grading(mats, dim)
     grading = found or _trivial(mats, dim)
@@ -248,24 +252,20 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
                             f"z^{e} entry ({j}, {t}) of letter {i} breaks the "
                             "Z/2 grading derived for the representation"
                         )
-    p: dict = {}
-    rows = _rows(mats, grading)
+    paths = _paths(mats, grading)
+    b = [({}, {})[:step] for _ in paths]
+    q = _identity(grading, n_coeffs)
     half = (modulus - 1) // 2
     for k in range(n_coeffs):
         kp = k % step
         for j in range(dim - 1, -1, -1):
-            row = rows[j]
-            _a_row(row, p, k, n_coeffs, kp)
-            _p_row(row, p, j, k, n_coeffs, phase[j] ^ kp, step)
-        if modulus:
-            # only the column phase each row took at order k was written
-            for j, p_j in p.items():
-                for cell in p_j[phase[j] ^ kp].values():
-                    if cell[k]:
-                        cell[k] = (cell[k] + half) % modulus - half
-            for row in rows:
-                for _, a_j, _, offset in row:
-                    for cell in a_j[offset ^ kp].values():
+            h = phase[j] ^ kp
+            b_j, q_j = b[j][h], q[j][h]
+            _b_row(paths[j], q, b_j, k, h, n_coeffs)
+            _q_row(b[j], q, q_j, k, h, step, n_coeffs)
+            if modulus:  # row j of order k is final
+                for cells in (b_j, q_j):
+                    for cell in cells.values():
                         if cell[k]:
                             cell[k] = (cell[k] + half) % modulus - half
-    return _merged(p)
+    return _merged(q)

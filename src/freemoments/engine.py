@@ -16,9 +16,13 @@ Given a noncommutative polynomial p and a target order M, the engine
    a + b*r of Z/(r^2 + 1), with r = 2^S: since r^2 = -1 there, this is a
    ring homomorphism from the Gaussian integers (Kronecker substitution),
    so the solve keeps N rows and does one int product per complex product;
-4. solves P = sum_i (mu_i (P + I))^2 one order at a time, each order in one
-   pass over the rows from last to first: the z^0 part is strictly upper
-   triangular, so this is a back-substitution.  When some weight chi of the
+4. solves P = sum_i (mu_i (P + I))^2 as Q = I + eta(Q) Q, with Q = P + I
+   and eta(Q) = sum_i mu_i Q mu_i (the operator-valued semicircular
+   equation), one order at a time, each order in one pass over the rows
+   from last to first: the z^0 part is strictly upper triangular, so this
+   is a back-substitution.  Every mu_i entry has z-degree <= 1, so eta(Q)
+   takes no convolution, and each order does one matrix-series product,
+   eta(Q) Q, whatever the number of letters.  When some weight chi of the
    letters makes every word of q odd, the rows have a Z/2 grading (a phase
    per state, with z on exactly the edges whose phases and letter weight
    sum to 1), and ``_kernel.solve`` finds it by itself: a cell of P is then

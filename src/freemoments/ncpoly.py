@@ -43,6 +43,9 @@ WORD_UNIT: Word = ()
 MAX_PARSE_TERMS = 10**5
 MAX_PARSE_DEGREE = 10**4
 MAX_PARSE_BITS = 10**5
+# the longest run of digits one number may have: Python's default limit on
+# converting a digit string to int (sys.int_info.default_max_str_digits)
+MAX_DIGITS = 4300
 
 
 def word_key(word: Word):
@@ -326,6 +329,7 @@ def infer_variable_count(text: str) -> int:
     """Highest variable index mentioned in the text (at least 1)."""
     best = 1
     for m in _re.finditer(r"x([0-9]+)", text):
+        _check_digits(text, m.start(1), m.end(1))
         best = max(best, int(m.group(1)))
     return best
 
@@ -335,6 +339,12 @@ def infer_variable_count(text: str) -> int:
 # ASCII only: str.isdigit() also accepts superscripts and other scripts' digits,
 # which int() then misreads or refuses
 _DIGITS = frozenset("0123456789")
+
+
+def _check_digits(text: str, start: int, end: int):
+    """Refuse the digit run text[start:end] before int() would refuse it."""
+    if end - start > MAX_DIGITS:
+        raise PolyParseError(f"number longer than {MAX_DIGITS} digits", text, start)
 
 
 def _tokenize(text: str):
@@ -351,6 +361,7 @@ def _tokenize(text: str):
         if ch in _DIGITS or ch == "x":
             while i < length and text[i] in _DIGITS:
                 i += 1
+            _check_digits(text, start + (ch == "x"), i)
             if ch == "x":
                 if i == start + 1:
                     raise PolyParseError("expected variable index after 'x'", text, i)
@@ -364,6 +375,7 @@ def _tokenize(text: str):
                     i += 1
                 if i == den_start:
                     raise PolyParseError("expected digits after '/'", text, i)
+                _check_digits(text, den_start, i)
                 denominator = int(text[den_start:i])
                 if not denominator:
                     raise PolyParseError("zero denominator", text, den_start)

@@ -179,6 +179,19 @@ def all_words(n_vars: int, max_len: int):
 # -- an independent dense solve of the kernel's fixed point --------------------
 
 
+def _dense_mats(mats, dim: int, n_coeffs: int) -> list:
+    """Kernel rows as dense dim x dim matrices of coefficient lists."""
+    mus = []
+    for rows in mats:
+        mu = [[[0] * n_coeffs for _ in range(dim)] for _ in range(dim)]
+        for j, entries in rows.items():
+            for t, zp in entries:
+                for e, c in enumerate(zp[:n_coeffs]):
+                    mu[j][t][e] += c
+        mus.append(mu)
+    return mus
+
+
 def dense_solve(mats, dim: int, n_coeffs: int, modulus: int = 0) -> list:
     """P = sum_i (mu_i (P + I))^2 in Z[z]/(z^n_coeffs), dense, order by order.
 
@@ -192,14 +205,7 @@ def dense_solve(mats, dim: int, n_coeffs: int, modulus: int = 0) -> list:
     given.  Nothing here is shared with ``freemoments._kernel``.
     """
     span = range(dim)
-    mus = []
-    for rows in mats:
-        mu = [[[0] * n_coeffs for _ in span] for _ in span]
-        for j, entries in rows.items():
-            for t, zp in entries:
-                for e, c in enumerate(zp[:n_coeffs]):
-                    mu[j][t][e] += c
-        mus.append(mu)
+    mus = _dense_mats(mats, dim, n_coeffs)
     p = [[[0] * n_coeffs for _ in span] for _ in span]
 
     def a_order(mu, r):
@@ -238,6 +244,45 @@ def dense_solve(mats, dim: int, n_coeffs: int, modulus: int = 0) -> list:
         for row in p:
             for cell in row:
                 cell[:] = [(c + half) % modulus - half for c in cell]
+    return p
+
+
+def dense_jacobi(mats, dim: int, n_coeffs: int, steps: int) -> list:
+    """P after ``steps`` full sweeps P <- sum_i (mu_i (P + I))^2 from P = 0.
+
+    Dense, in Z[z]/(z^n_coeffs): each sweep forms A_i = mu_i (P + I) and
+    then A_i A_i for every letter, from the previous P only (a Jacobi
+    sweep).  Returns P as a dim x dim list of coefficient lists.  Nothing
+    here is shared with ``freemoments._kernel``.
+    """
+    span = range(dim)
+    orders = range(n_coeffs)
+
+    def times(a, b):
+        return [
+            [
+                [
+                    sum(a[j][t][r] * b[t][l][k - r] for t in span for r in range(k + 1))
+                    for k in orders
+                ]
+                for l in span
+            ]
+            for j in span
+        ]
+
+    mus = _dense_mats(mats, dim, n_coeffs)
+    p = [[[0] * n_coeffs for _ in span] for _ in span]
+    for _ in range(steps):
+        q = [[[p[j][l][k] + (j == l and k == 0) for k in orders] for l in span]
+             for j in span]
+        new = [[[0] * n_coeffs for _ in span] for _ in span]
+        for mu in mus:
+            a = times(mu, q)
+            for j, row in enumerate(times(a, a)):
+                for l, cell in enumerate(row):
+                    for k, c in enumerate(cell):
+                        new[j][l][k] += c
+        p = new
     return p
 
 

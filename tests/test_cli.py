@@ -179,6 +179,13 @@ def test_parse_error_exit_2(capsys):
     assert code == 2
     assert "position 2" in err and "internal error" not in err
 
+    # a number too long for int() is refused before it is converted, in the
+    # variable count inferred from the text as in the parse itself
+    for poly in ("1" * 5000, "x" + "1" * 5000):
+        code, out, err = run(capsys, "moments", "--poly", poly, "--max-order", "2")
+        assert code == 2 and not out
+        assert "4300 digits" in err and "internal error" not in err
+
     # a fraction in an exponent is refused, not reduced to x1^2
     code, out, err = run(capsys, "moments", "--poly", "x1^4/2", "--max-order", "2")
     assert code == 2 and not out

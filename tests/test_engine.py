@@ -22,7 +22,7 @@ from freemoments.engine import MAX_ORDER, MomentVector, build_trie_rows
 from freemoments.reference import iterate_system, reduce_rep, rep_variable
 
 import properties
-from helpers import dense_solve, random_kernel_rows
+from helpers import dense_jacobi, dense_solve, random_kernel_rows
 
 
 def test_reduce_rep_examples():
@@ -241,6 +241,22 @@ def test_solve_modulus_congruent_to_plain_solve():
                         assert -modulus < 2 * cell[k] <= modulus, (case, modulus)
 
 
+def test_iterate_matches_dense_jacobi():
+    # seeded rows, graded and ungraded: every sweep of the kernel's Jacobi
+    # iteration, not only its fixed point, gives entry (0, dim - 1) of the
+    # dense sweep's P
+    import random
+
+    rng = random.Random(2001)
+    for case in range(60):
+        mats, dim = random_kernel_rows(rng, case % 2 == 0)
+        n_coeffs = rng.randint(1, 6)
+        for steps in range(1, dim + 3):
+            expected = dense_jacobi(mats, dim, n_coeffs, steps)[0][dim - 1]
+            got = _kernel.iterate(mats, dim, n_coeffs, steps)
+            assert got == expected, (case, steps)
+
+
 def _violations(mats, grading):
     """Nonzero entries that break phi(j) + phi(t) + chi_i = e (mod 2)."""
     phase, chi, _ = grading
@@ -317,6 +333,7 @@ def test_solve_matches_dense_reference():
             assert {(j, l) for j, row in got.items() for l in row} == nonzero, (
                 case, modulus,
             )
+            assert all(got.values()), (case, modulus)  # no empty row
             for j in range(dim):
                 for l in range(dim):
                     cell = got.get(j, {}).get(l, zeros)
@@ -438,8 +455,8 @@ def test_closed_forms_past_oracle_reach():
     # tau((s1 + ... + sn)^(3m)) = n^(3m/2) Catalan(3m/2), and 0 at odd m
     for n_vars in (3, 2):
         text = "(" + " + ".join(f"x{v}" for v in range(1, n_vars + 1)) + ")^3"
-        mv = moments(parse_polynomial(text, n_vars), 24)
-        for m in range(1, 25):
+        mv = moments(parse_polynomial(text, n_vars), 48)
+        for m in range(1, 49):
             expected = n_vars ** (3 * m // 2) * catalan(3 * m // 2) if m % 2 == 0 else 0
             assert mv.value(m) == Scalar(expected), (text, m)
 

@@ -17,7 +17,7 @@ from freemoments import (
     split_constant,
 )
 
-from freemoments.ncpoly import MAX_PARSE_DEGREE
+from freemoments.ncpoly import MAX_DIGITS, MAX_PARSE_DEGREE
 
 import properties
 
@@ -80,6 +80,26 @@ def test_parse_syntax_errors_carry_position():
         with pytest.raises(PolyParseError) as err:
             parse_polynomial(text, 2)
         assert err.value.position == position, text
+
+
+def test_parse_refuses_numbers_too_long_to_convert():
+    # int() refuses a digit string past the interpreter's conversion limit;
+    # the parser refuses the run first, at the position of its first digit,
+    # for a literal, a variable index, a denominator and an exponent alike
+    long = "1" * (MAX_DIGITS + 700)
+    for text, position in [
+        (long, 0), ("x" + long, 1), ("x1 + 1/" + long, 7), ("x1^" + long, 3),
+    ]:
+        with pytest.raises(PolyParseError, match=f"{MAX_DIGITS} digits") as err:
+            parse_polynomial(text, 1)
+        assert err.value.position == position, text[:12]
+    # the CLI infers the variable count before it parses
+    with pytest.raises(PolyParseError) as err:
+        infer_variable_count("x2 + x" + long)
+    assert err.value.position == 6
+    # a run of exactly MAX_DIGITS digits still parses
+    p = parse_polynomial("1" * MAX_DIGITS + "*x1", 1)
+    assert p.coefficient((1,)) == Scalar(int("1" * MAX_DIGITS))
 
 
 def test_parse_exponent_must_be_an_integer_literal():
