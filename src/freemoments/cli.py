@@ -4,16 +4,22 @@ Three subcommands:
 
 * ``moments`` - run the engine and print tau(p(s)^m) for m = 1..M;
 * ``verify``  - compute the same moments with the exponential expansion
-  oracle and diff the two, exiting nonzero on any mismatch;
+  oracle, all orders from one ``brute_moments`` call, and diff the two,
+  exiting nonzero on any mismatch;
 * ``bench``   - time the engine against the brute-force oracle
   (``brute_moment``, the naive column) over a sweep of orders and report the
   fitted log-log slope (informational only).
 
+The oracle splits p's constant off by the binomial theorem, but its
+``--expansion-cap`` still counts p's terms, the constant included.
+
 Each subcommand takes only the flags it reads; ``_COMMANDS`` lists them.
-Values are always printed as exact fractions; ``moments --decimal`` adds a
-floating approximation alongside (never instead).  Exit codes: 0 success,
-1 verify mismatch, 2 parse or usage error (an option the subcommand does not
-take included, reported with that subcommand's usage), 3 internal error,
+Values are always printed as exact fractions, at any length (the
+interpreter's ``str(int)`` digit limit is lifted while output is
+formatted); ``moments --decimal`` adds a floating approximation alongside
+(never instead).  Exit codes: 0 success, 1 verify mismatch, 2 parse or
+usage error (an option the subcommand does not take included, reported
+with that subcommand's usage), 3 internal error,
 4 size cap exceeded (the oracle's expansion cap or the parser's fixed
 limits), 5 out of memory (the message names the subcommand and its
 ``--max-order``, or ``--sweep`` for ``bench``), 130 interrupted (Ctrl-C).
@@ -22,6 +28,7 @@ limits), 5 out of memory (the message names the subcommand and its
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -37,6 +44,7 @@ from .oracle import (
     CUMULANT_CAP,
     DEFAULT_EXPANSION_CAP,
     brute_moment,
+    brute_moments,
     check_expansion_cap,
     free_cumulants,
 )
@@ -102,11 +110,38 @@ def _text_approx(value: Scalar) -> str:
     return f"  ~ {complex(re, _approx(value.im)) if value.im else re}"
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift the interpreter's limit on ``str(int)`` digits while output is
+    formatted, and restore it afterwards.
+
+    The limit (Python 3.11+ and 3.10.7+; older versions have none) guards
+    the conversion of untrusted text, but the values printed are the
+    program's own exact results: tau(((10^50 - 1)*x1)^m) has more than 4300
+    digits from m = 86 on.  The parser keeps its own ``MAX_DIGITS`` refusal.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_moments(args, out) -> int:
     poly, warnings = _load_polynomial(args)
     _check_orders("--max-order", [args.max_order], args.max_order)
     mv = moments(poly, args.max_order)
+    with _unlimited_int_str():
+        _print_moments(args, poly, warnings, mv, out)
+    return EXIT_OK
 
+
+def _print_moments(args, poly, warnings, mv, out) -> None:
     if args.format == "json":
         rows = []
         for m, value in enumerate(mv.values, start=1):
@@ -126,7 +161,7 @@ def _cmd_moments(args, out) -> int:
             "warnings": warnings,
         }
         print(json.dumps(doc), file=out)
-        return EXIT_OK
+        return
 
     if args.format == "csv":
         header = "m,re,im"
@@ -138,7 +173,7 @@ def _cmd_moments(args, out) -> int:
             if args.decimal:
                 line += f",{_approx(value.re)!r},{_approx(value.im)!r}"
             print(line, file=out)
-        return EXIT_OK
+        return
 
     print(f"poly: {poly}", file=out)
     print(
@@ -162,7 +197,6 @@ def _cmd_moments(args, out) -> int:
         if args.decimal:
             line += _text_approx(value)
         print(line, file=out)
-    return EXIT_OK
 
 
 def _cmd_verify(args, out) -> int:
@@ -173,12 +207,20 @@ def _cmd_verify(args, out) -> int:
     check_expansion_cap(poly, args.max_order, cap)
     _check_orders("--max-order", [args.max_order], args.max_order)
     mv = moments(poly, args.max_order)
-    mismatches = []
-    for m in range(1, args.max_order + 1):
-        oracle_value = brute_moment(poly, m, cap)
-        if mv.value(m) != oracle_value:
-            mismatches.append((m, mv.value(m), oracle_value))
+    oracle_values = brute_moments(poly, args.max_order, cap)
+    mismatches = [
+        (m, engine_value, oracle_value)
+        for m, (engine_value, oracle_value) in enumerate(
+            zip(mv.values, oracle_values), start=1
+        )
+        if engine_value != oracle_value
+    ]
+    with _unlimited_int_str():
+        _print_verify(args, poly, warnings, mv, mismatches, out)
+    return EXIT_OK if not mismatches else EXIT_MISMATCH
 
+
+def _print_verify(args, poly, warnings, mv, mismatches, out) -> None:
     if args.format == "json":
         doc = {
             "poly": str(poly),
@@ -215,7 +257,6 @@ def _cmd_verify(args, out) -> int:
             print(f"FAIL ({len(mismatches)} of {args.max_order} orders differ)", file=out)
         else:
             print(f"PASS (orders 1..{args.max_order} agree exactly)", file=out)
-    return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
 class BenchRow(NamedTuple):

@@ -6,14 +6,18 @@ deliberately exponential:
 * moments of a single word come from counting non-crossing pairings whose
   paired positions carry equal letters (mixed free cumulants vanish and the
   only nonzero semicircular cumulant is kappa_2 = 1);
-* moments of a polynomial sum over the term sequences of (lam*p)^m over
+* moments of a polynomial sum over the term sequences of (lam*q)^j over
   integer coefficients, with lam the least common multiple of the
-  denominators of p's coefficients, and divide the pairing-weighted sum by
-  lam^m once.  tau is a trace and non-crossing pairings are invariant under
-  rotation (Nica-Speicher, Lectures on the Combinatorics of Free
+  denominators of p's coefficients and q = p - c its nonconstant part, and
+  divide the pairing-weighted sum by lam^m once.  The constant c is central,
+  so tau((lam*p)^m) is the binomial sum of C(m, j) (lam*c)^(m-j)
+  tau((lam*q)^j).  tau is a trace and non-crossing pairings are invariant
+  under rotation (Nica-Speicher, Lectures on the Combinatorics of Free
   Probability, 2006, Lect. 8 and 22), so the sequences are split into
-  blocks (lam*p)^a and each rotation class of blocks, a necklace, is
-  counted once, weighted by its number of rotations;
+  blocks (lam*q)^a and each rotation class of blocks, a necklace, is
+  counted once, weighted by its number of rotations.  ``brute_moments``
+  returns every order up to M from one call, which shares the blocks and
+  the sums of q's powers across the orders;
 * a word too long for the cached pairing recursion is counted from an
   explicit stack, so no input raises ``RecursionError``; one whose
   subwords outgrow ``PAIRING_STACK_CAP`` raises ``CapExceededError``;
@@ -44,7 +48,7 @@ WORD_MOMENT_CAP = 16
 CUMULANT_CAP = 12
 PSEMI_CAP = 12
 DEFAULT_EXPANSION_CAP = 10**6
-PAIRING_CACHE_MAX = 1 << 16  # words; brute_moment clears the cache past this
+PAIRING_CACHE_MAX = 1 << 16  # words; the cache is cleared past this after each order
 PAIRING_STACK_CAP = 1 << 22  # letters of subwords a word too deep to recurse on may hold
 # A necklace costs about two counted words: besides its pairing count, the
 # FKM step, joining its blocks and multiplying their coefficients take about
@@ -150,33 +154,60 @@ def check_expansion_cap(
         )
 
 
+def brute_moments(
+    p: NCPolynomial, max_order: int, expansion_cap: int = DEFAULT_EXPANSION_CAP
+) -> List[Scalar]:
+    """[tau(p^m) for m = 1..max_order] by full expansion, from one call.
+
+    The cap is checked once, at ``max_order``: p's term count, its constant
+    included, raised to that power must not exceed ``expansion_cap``
+    (``check_expansion_cap``).  The blocks (lam*q)^a of p's nonconstant part
+    q and the pairing cache are shared across the orders; see
+    ``brute_moment``.
+    """
+    if max_order < 0:
+        raise ValueError("moment order must be nonnegative")
+    check_expansion_cap(p, max_order, expansion_cap)
+    return _brute_moments(p, range(1, max_order + 1))
+
+
 def brute_moment(
     p: NCPolynomial, m: int, expansion_cap: int = DEFAULT_EXPANSION_CAP
 ) -> Scalar:
     """tau(p(s_1,...,s_n)^m) by full expansion of the m-th power.
 
-    Sums over the (m_p)^m term sequences of p^m; this is the exponential
-    blow-up the engine avoids.  Requests with (m_p)^m over
-    ``expansion_cap`` are refused (``check_expansion_cap``).
+    Sums over the term sequences of p^m; this is the exponential blow-up
+    the engine avoids.  Requests with (m_p)^m over ``expansion_cap`` are
+    refused (``check_expansion_cap``), m_p counting p's constant too.
 
     The sum runs on integers only.  With lam and the integer coefficients
-    of lam*p from ``NCPolynomial.integer_terms``, the blocks D_a = (lam*p)^a
-    for a up to ceil(m/2) are maps from word to ``int``, or to an ``(re,
-    im)`` pair of ``int``s when a coefficient is not real.  tau is a trace,
-    so a cyclic rotation of a sequence of blocks has the same moment, and
-    (lam*p)^m = D_a^(m/a) is summed over necklaces (rotation classes) of
-    m/a blocks: each necklace's word is counted once, weighted by its
-    number of rotations.  The plan (``_block_length``) picks the a that
-    costs the least; a = m counts the words of D_m one by one.  The integer
-    sum is divided by lam^m once at the end.
+    of lam*p from ``NCPolynomial.integer_terms``, write lam*p = lam*c +
+    lam*q with c the constant.  c is central, so by the binomial theorem
+    tau((lam*p)^m) = sum_j C(m, j) (lam*c)^(m-j) tau((lam*q)^j), over the
+    j <= m with tau((lam*q)^j) != 0, and only q's t terms are expanded:
+    t^j sequences, not (t+1)^m.  With no constant only j = m is summed.
+    For each j the blocks D_a = (lam*q)^a, up to a = ceil(j/2), are maps
+    from word to ``int``, or to an ``(re, im)`` pair of ``int``s when a
+    coefficient is not real.  tau is a trace, so a cyclic rotation of a
+    sequence of blocks has the same moment, and (lam*q)^j = D_a^(j/a) is
+    summed over necklaces (rotation classes) of j/a blocks: each
+    necklace's word is counted once, weighted by its number of rotations.
+    The plan (``_block_length``) picks the a that costs the least; a = j
+    counts the words of D_j one by one.  The integer sum is divided by
+    lam^m once at the end.
     """
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     if m == 0:
         return ONE
-    if p.is_zero():
-        return ZERO
     check_expansion_cap(p, m, expansion_cap)
+    return _brute_moments(p, range(m, m + 1))[0]
+
+
+def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
+    """tau(p^m) for each m of ``orders`` (a range of orders >= 1)."""
+    if p.is_zero() or not orders:
+        return [ZERO] * len(orders)
     lam, terms = p.integer_terms()
     gaussian = any(im for _, _, im in terms)
     if gaussian:
@@ -185,7 +216,51 @@ def brute_moment(
     else:
         mul, product = _mul_int, math.prod
         base = {w: re for w, re, _ in terms}
-    blocks = [{(): product(())}, base]
+    constant = base.pop((), None)  # lam*c
+    if constant is None:
+        c_re = c_im = 0
+    elif gaussian:
+        c_re, c_im = constant
+    else:
+        c_re, c_im = constant, 0
+    top = orders[-1]
+    # tau((lam*q)^j) as (re, im) pairs of ints, for the j where it is nonzero;
+    # without a constant only the orders asked for are summed
+    sums = {0: (1, 0)}
+    if base:
+        blocks = [{(): product(())}, base]
+        for j in orders if constant is None else range(1, top + 1):
+            re, im = _power_sum(blocks, j, mul, product, gaussian)
+            if re or im:
+                sums[j] = (re, im)
+            # keep the cached subwords shared across orders and calls, but
+            # not without bound
+            if _consistent_pairing_count.cache_info().currsize > PAIRING_CACHE_MAX:
+                _consistent_pairing_count.cache_clear()
+    powers = [(1, 0)]  # (lam*c)^k
+    for _ in range(top):
+        a, b = powers[-1]
+        powers.append((a * c_re - b * c_im, a * c_im + b * c_re))
+    values = []
+    for m in orders:
+        re = im = 0
+        for j, (s_re, s_im) in sums.items():
+            a, b = powers[m - j] if j <= m else (0, 0)
+            if a or b:
+                k = math.comb(m, j)
+                re += k * (a * s_re - b * s_im)
+                im += k * (a * s_im + b * s_re)
+        den = lam ** m
+        values.append(Scalar(Fraction(re, den), Fraction(im, den)))
+    return values
+
+
+def _power_sum(blocks: List[Dict[Word, object]], m: int, mul, product, gaussian):
+    """tau((lam*q)^m) times lam^m, as an ``(re, im)`` pair of ``int``s.
+
+    ``blocks`` holds the blocks (lam*q)^0, (lam*q)^1 and whatever powers
+    earlier orders built; ``_block_length`` extends it as this order needs.
+    """
     a = _block_length(m, blocks, mul)
     if a == m:
         power = mul(blocks[m // 2], blocks[(m + 1) // 2])
@@ -197,30 +272,25 @@ def brute_moment(
         for k, (c_re, c_im) in counted:
             re += k * c_re
             im += k * c_im
-    else:
-        re = sum(k * c for k, c in counted)
-        im = 0
-    # keep the cached subwords shared across calls, but not without bound
-    if _consistent_pairing_count.cache_info().currsize > PAIRING_CACHE_MAX:
-        _consistent_pairing_count.cache_clear()
-    den = lam ** m
-    return Scalar(Fraction(re, den), Fraction(im, den))
+        return re, im
+    return sum(k * c for k, c in counted), 0
 
 
 def _block_length(m: int, blocks: List[Dict[Word, object]], mul) -> int:
     """The block length a whose sum for the m-th power costs the least.
 
-    ``blocks`` holds (lam*p)^0 and (lam*p)^1; each step appends the next
-    power, as a product by ``mul``, up to (lam*p)^ceil(m/2).  With |D_a|
-    words in (lam*p)^a, and the cost counted in words:
+    ``blocks`` holds (lam*q)^0, (lam*q)^1 and any powers an earlier order
+    built; each step past those appends the next power, as a product by
+    ``mul``, up to (lam*q)^ceil(m/2).  With |D_a| words in (lam*q)^a, and
+    the cost counted in words:
 
     * a divisor a <= m/2 of m leaves about |D_a|^(m/a) * a/m necklaces of
       m/a blocks, each costing ``NECKLACE_COST`` words;
-    * a = m counts the words of (lam*p)^m.  Of the |D_floor(m/2)| *
+    * a = m counts the words of (lam*q)^m.  Of the |D_floor(m/2)| *
       |D_ceil(m/2)| products of two halves, about the share that stayed
       distinct one halving down, |D_h| / (|D_floor(h/2)| * |D_ceil(h/2)|)
       with h = floor(m/2), are distinct words.  That share is 1 unless
-      words merge, as they do with one letter or with a constant term.
+      words merge, as they do with one letter.
 
     Ties go to the longer blocks.  |D_a| never falls as a grows, so each
     later choice costs at least min(NECKLACE_COST |D_a|^2 (a+1)/m, |D_a|)
@@ -229,7 +299,7 @@ def _block_length(m: int, blocks: List[Dict[Word, object]], mul) -> int:
     half, h = (m + 1) // 2, m // 2
     best_a = best = None  # best: a cost times m
     for a in range(1, half + 1):
-        if a > 1:
+        if a == len(blocks):
             blocks.append(mul(blocks[a - 1], blocks[1]))
         size = len(blocks[a])
         if a <= h and m % a == 0:

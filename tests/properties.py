@@ -34,6 +34,7 @@ from freemoments.reference import (
     rep_star,
 )
 from freemoments.ncpoly import infer_variable_count, split_constant
+from freemoments.oracle import brute_moments
 
 from helpers import (
     all_words,
@@ -503,37 +504,103 @@ def check_brute_against_expansion(cases=220, seed=119, max_order=6, cap=10**4):
     assert min(seen.values()) >= 10, seen
 
 
-def brute_moment_planned(p, m, block_length=None):
-    """``(brute_moment(p, m), the block length it summed over)``.
+def check_brute_moments(cases=150, seed=121, max_order=6, cap=10**4):
+    """brute_moments(p, M) against one brute_moment(p, m) call per order
+    and, where p^m has at most ``cap`` term sequences, ``_expanded_moment``.
 
-    With ``block_length`` the oracle's plan is replaced by that block length,
-    after the blocks up to (lam*p)^ceil(m/2) are built.
+    One brute_moments call plans every order on one shared list of blocks
+    of p's nonconstant part q and adds the constant back by the binomial
+    theorem.  The inputs are seeded ``random_oracle_poly`` draws, the zero
+    polynomial, constant-only ones, a complex constant with a real q, and
+    two whose plans change from order to order: x1 + x1^2 + x2 up to 12
+    picks a = m, a = 1 and 1 < a < m, and x1 + x1^2 + x1^3 + x2 - 1 up to
+    8 picks a = m from m = 4 on, reading the blocks lower orders built.
+    """
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(cases):
+        p = random_oracle_poly(rng)
+        order = max_order
+        while p.n_terms ** order > cap:
+            order -= 1
+        polys.append((p, order))
+    for text, order in [
+        ("0", max_order),
+        ("3/2", max_order),
+        ("2 - i", max_order),
+        ("x1*x2 + x2*x1 + 1/2*x1 + 2*i", max_order),
+        ("x1 + x1^2 + x2", 12),
+        ("x1 + x1^2 + x1^3 + x2 - 1", 8),
+    ]:
+        polys.append((parse_polynomial(text, max(1, infer_variable_count(text))), order))
+    plan = oracle._block_length
+    plans = []
+
+    def recorded(m, blocks, mul):
+        plans.append((m, plan(m, blocks, mul)))
+        return plans[-1][1]
+
+    oracle._block_length = recorded
+    try:
+        runs = []
+        for p, order in polys:
+            plans.clear()
+            runs.append((p, order, brute_moments(p, order), list(plans)))
+    finally:
+        oracle._block_length = plan
+    for p, order, values, _ in runs:
+        assert len(values) == order, (str(p), order)
+        for m, value in enumerate(values, start=1):
+            assert value == brute_moment(p, m), (str(p), m)
+            if p.n_terms ** m <= cap:
+                assert value == _expanded_moment(p, m), (str(p), m)
+    kinds = [
+        {"a = 1" if a == 1 else "a = m" if a == m else "1 < a < m" for m, a in steps}
+        for _, _, _, steps in runs[-2:]
+    ]
+    assert kinds[0] == {"a = 1", "1 < a < m", "a = m"}, runs[-2][3]
+    assert any(m >= 4 and a == m for m, a in runs[-1][3]), runs[-1][3]
+
+
+def brute_moment_planned(p, m, block_length=None):
+    """``(brute_moment(p, m), the block length it summed over at order m)``.
+
+    The oracle plans order m of p's nonconstant part q, and every order
+    below m too when p has a constant term.  With ``block_length`` the plan
+    at order m alone is replaced by that block length, after the blocks up
+    to (lam*q)^ceil(m/2) are built.
     """
     plan = oracle._block_length
     used = []
 
     def fixed(order, blocks, mul):
-        if block_length is None:
-            used.append(plan(order, blocks, mul))
+        if order != m or block_length is None:
+            a = plan(order, blocks, mul)
         else:
             while len(blocks) <= (order + 1) // 2:
                 blocks.append(mul(blocks[-1], blocks[1]))
-            used.append(block_length)
-        return used[-1]
+            a = block_length
+        if order == m:
+            used.append(a)
+        return a
 
     oracle._block_length = fixed
     try:
         value = brute_moment(p, m)
     finally:
         oracle._block_length = plan
+    assert len(used) == 1, (str(p), m, used)
     return value, used[0]
 
 
 # (text, m) for each kind of plan: prime m, composite m summed over single
-# terms and over longer blocks, one-letter and constant-term inputs whose
-# words merge, and Gaussian coefficients
+# terms and over longer blocks, one-letter inputs whose words merge,
+# constant terms and Gaussian coefficients.  The oracle plans over p's
+# nonconstant part, so a constant no longer merges words: the prime m with
+# a = m comes from one letter
 PLAN_CASES = [
     ("x1^2 - x2^2 + x3", 7),
+    ("x1 + 2*x1^3 - 1", 7),
     ("x1 + i*x2 + 1", 7),
     ("x1*x2 + x2*x1", 8),
     ("x1 + i*x2", 6),

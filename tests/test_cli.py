@@ -5,9 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from decimal import Decimal
 
 import freemoments
-from freemoments import Scalar
+from freemoments import Scalar, catalan
 from freemoments.cli import main
 from freemoments.engine import MomentVector
 
@@ -297,6 +298,73 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH at m=3" in out
     assert "FAIL" in out
+
+
+def test_verify_calls_the_oracle_once(capsys, monkeypatch):
+    import freemoments.cli as cli_module
+
+    calls = []
+    real = cli_module.brute_moments
+
+    def counted(p, max_order, expansion_cap):
+        calls.append(max_order)
+        return real(p, max_order, expansion_cap)
+
+    def refused(*args):
+        raise AssertionError("verify called brute_moment")
+
+    monkeypatch.setattr(cli_module, "brute_moments", counted)
+    monkeypatch.setattr(cli_module, "brute_moment", refused)
+    for poly, max_order in (("2*x1*x2*x1 - x2 + 1", "8"), ("x1*x2 + x2*x1", "6")):
+        calls.clear()
+        code, out, _ = run(capsys, "verify", "--poly", poly, "--max-order", max_order)
+        assert code == 0 and "PASS" in out, poly
+        assert calls == [int(max_order)], poly
+
+
+def test_values_past_the_int_str_digit_limit(capsys):
+    # tau(((10^50 - 1) x1)^m) has more than 4300 digits from m = 86 on, past
+    # the interpreter's default limit on str(int); the output is exact at
+    # every length and the limit is back in place afterwards.  Decimal reads
+    # the digits without that limit.
+    c = 10**50 - 1
+    poly = f"{c}*x1"
+    expected = [c**m * catalan(m // 2) if m % 2 == 0 else 0 for m in range(1, 201)]
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+
+    def check(argv, rows):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        if get_limit:
+            assert get_limit() == limit
+        max_order = int(argv[argv.index("--max-order") + 1])
+        got = rows(out)
+        assert [m for m, _ in got] == list(range(1, max_order + 1))
+        for m, value in got:
+            assert Decimal(value) == expected[m - 1], m
+        return out
+
+    def csv_rows(out):
+        return [(int(line.split(",")[0]), line.split(",")[1]) for line in out.splitlines()[1:]]
+
+    moments_argv = ("moments", "--poly", poly, "--max-order", "200")
+    check(moments_argv + ("--format", "csv"), csv_rows)
+    check(moments_argv + ("--format", "csv", "--decimal"), csv_rows)
+    check(
+        moments_argv + ("--format", "json"),
+        lambda out: [(row["m"], row["re"]) for row in json.loads(out)["moments"]],
+    )
+    check(
+        moments_argv,
+        lambda out: [
+            (int(line.split()[0][2:]), line.split()[1])
+            for line in out.splitlines()
+            if line.startswith("  m=")
+        ],
+    )
+    out = check(("verify", "--poly", poly, "--max-order", "100", "--format", "csv"), csv_rows)
+    assert all(line.endswith(",1") for line in out.splitlines()[1:])
 
 
 def test_verify_cap_exit_4(capsys):

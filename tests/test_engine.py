@@ -461,6 +461,41 @@ def test_closed_forms_past_oracle_reach():
             assert mv.value(m) == Scalar(expected), (text, m)
 
 
+# (text, n_vars, M, bound): the benchmark's deep and wide jobs at seed 1, in
+# job order, and three structured inputs, each with the number of integer
+# products its solve took when the bound was recorded
+KERNEL_PRODUCT_BOUNDS = [
+    ("x1*x2 + x2*x1", 2, 64, 2640),
+    ("x1^3 - 3*x1", 1, 32, 3623),
+    ("-2*x3*x1 + x1*x3", 3, 32, 680),
+    ("x1^3 - 3*x1", 1, 16, 947),
+    ("x1*x2 + x2*x1 + i*x2*x3 - i*x3*x2 + 1/2*x1^2 + x3^2 - 2/3*x2 + 2", 3, 4, 327),
+    ("x1*x2*x3 + x3*x2*x1 + i*x1^2 - i*x2^2 + 1/2*x3 + x1*x3 + 1", 3, 4, 444),
+    ("-1/2*x2^2 - x1^2 - x3*x2 - i*x1*x3 + 2/3*x3 + i*x3*x1 - x2*x3 + 2", 3, 2, 53),
+    ("i*x2^2 - 1/2*x3 - x2*x1*x3 + x3*x1*x2 - i*x1^2 + x2*x3 + 1", 3, 2, 56),
+    ("(x1+x2+x3)^3", 3, 48, 645813),
+    ("x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1", 3, 96, 205149),
+    ("x1^80", 1, 1, 190400),
+]
+
+
+def test_kernel_product_count_ratchet(monkeypatch):
+    # a ratchet on the solve's work: every product of a series convolution
+    # goes through _kernel._mul, and no change may make any count larger
+    count = 0
+
+    def counting_mul(a, b):
+        nonlocal count
+        count += 1
+        return a * b
+
+    monkeypatch.setattr(_kernel, "_mul", counting_mul)
+    for text, n_vars, max_order, bound in KERNEL_PRODUCT_BOUNDS:
+        count = 0
+        moments(parse_polynomial(text, n_vars), max_order)
+        assert 0 < count <= bound, (text, max_order, count, bound)
+
+
 def test_iterate_order_zero():
     rep = build_zq_star(parse_polynomial("x1", 1))
     mats = reduce_rep(rep, 0)

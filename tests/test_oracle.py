@@ -130,6 +130,30 @@ def test_pairing_cache_stays_bounded():
     assert size <= oracle.PAIRING_CACHE_MAX == 1 << 16
 
 
+def test_pairing_cache_bound_holds_after_every_order(monkeypatch):
+    # one brute_moments call covers every order, and clears the cache after
+    # any order that left it past the bound, as one brute_moment call does
+    p = parse_polynomial("x1*x2 + x2*x1 + x1^2 - 1/2", 2)
+    oracle._consistent_pairing_count.cache_clear()
+    expected = oracle.brute_moments(p, 8)
+    monkeypatch.setattr(oracle, "PAIRING_CACHE_MAX", 40)
+    size = lambda: oracle._consistent_pairing_count.cache_info().currsize
+    starts, ends = [], []
+    power_sum = oracle._power_sum
+
+    def recorded(*args):
+        starts.append(size())
+        result = power_sum(*args)
+        ends.append(size())
+        return result
+
+    monkeypatch.setattr(oracle, "_power_sum", recorded)
+    oracle._consistent_pairing_count.cache_clear()
+    assert oracle.brute_moments(p, 8) == expected
+    assert size() <= 40
+    assert max(starts) <= 40 < max(ends)
+
+
 def test_pairing_cache_misses_one_per_rotation_class():
     # summing over rotation classes counts far fewer words than one per word
     # of (lam*p)^m, as the square-and-multiply expansion did (6485 misses)
@@ -248,3 +272,7 @@ def test_brute_against_expansion_suite():
 
 def test_brute_plans_suite():
     properties.check_brute_plans()
+
+
+def test_brute_moments_suite():
+    properties.check_brute_moments()
