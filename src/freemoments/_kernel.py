@@ -23,10 +23,16 @@ the order it was made at, below which it is 0; a dict holds its cells in
 that order, so ``_q_row`` drops every product that cannot reach order k.
 
 ``_b_row`` adds one order of one row of B, and ``_q_row`` the same order
-and row of B Q to Q.  ``iterate`` is the paper's sweep, which only the
+and row of B Q to Q.  ``_b_row`` walks a plan of flat lists, one per row
+and phase, that ``_plan`` builds from the mu_i and a Q: one entry per
+product mu_i[j][t] Q[t][u] mu_i[u][s], holding Q's column dict
+q[t][phi(u)] (filled in place by the solve), u, s, the summed z-degree and
+the product of the two weights, so an entry costs one dict lookup, one
+index and one multiply.  ``iterate`` is the paper's sweep, which only the
 reference route calls: ``steps`` times from P = 0, B from the old Q and
-then the new Q from B and the old Q, every row and order.  ``solve`` runs
-them once per row and order.  Order k of B and of Q reads Q[k] only
+then the new Q from B and the old Q, every row and order, on a plan
+rebuilt from each sweep's Q.  ``solve`` builds the plan once and runs
+both once per row and order.  Order k of B and of Q reads Q[k] only
 through the z^0 part of the mu_i; when that part is strictly upper
 triangular, so are those of P and B, and row j of order k reads only
 higher rows of order k: taking the rows from last to first is a
@@ -108,24 +114,23 @@ def _grading(mats: SparseMats, dim: int) -> Optional[Grading]:
     return bits[:dim], bits[dim:], 2
 
 
-def _paths(mats: SparseMats, grading: Grading) -> list:
-    """Per row j, one ``(ends, t, e, c)`` for every nonzero z^e coefficient c
-    of an entry (j, t) of some mu_i, where ``ends[h]`` lists, for each row u
-    of that mu_i, ``(phi(u), u, tails)`` with ``tails`` its nonzero
-    coefficients ``(s, e2, c2)`` at the columns s of phase h: the two ends
-    of the products mu_i[j][t] Q[t][u] mu_i[u][s]."""
+def _plan(mats: SparseMats, grading: Grading, q: list) -> list:
+    """Per row j and phase h, one ``(cols, u, s, e1 + e2, c1 * c2)`` for every
+    product mu_i[j][t] Q[t][u] mu_i[u][s] of nonzero coefficients c1 z^e1 and
+    c2 z^e2 with phi(s) = h, where ``cols`` is Q's column dict q[t][phi(u)]."""
     phase, _, step = grading
-    paths = [[] for _ in phase]
+    plan = [([], [])[:step] for _ in phase]
     for mu in mats:
-        ends = [{}, {}][:step]
+        tails = [(phase[u], u, s, e2, c2) for u, entries in mu.items()
+                 for s, zp in entries for e2, c2 in enumerate(zp) if c2]
         for j, entries in mu.items():
             for t, zp in entries:
-                for e, c in enumerate(zp):
-                    if c:
-                        ends[phase[t]].setdefault(j, []).append((t, e, c))
-                        paths[j].append((ends, t, e, c))
-        ends[:] = [[(phase[u], u, tails) for u, tails in by_u.items()] for by_u in ends]
-    return paths
+                q_t = q[t]
+                for e1, c1 in enumerate(zp):
+                    if c1:
+                        for hu, u, s, e2, c2 in tails:
+                            plan[j][phase[s]].append((q_t[hu], u, s, e1 + e2, c1 * c2))
+    return plan
 
 
 def _identity(grading: Grading, n_coeffs: int) -> list:
@@ -137,24 +142,20 @@ def _identity(grading: Grading, n_coeffs: int) -> list:
     return q
 
 
-def _b_row(row: list, q: list, out: dict, k: int, h: int, n_coeffs: int):
-    """Add order k of row j of B = eta(Q) = sum_i mu_i Q mu_i, read from
-    ``q``, to ``out``, the column dict of phase h of row j of B; ``row`` is
-    the ``_paths`` entry of row j."""
-    for ends, t, e1, c1 in row:
-        q_t = q[t]
-        for hu, u, tails in ends[h]:
-            src = q_t[hu].get(u)
+def _b_row(plan: list, out: dict, k: int, n_coeffs: int):
+    """Add order k of row j of B = eta(Q) = sum_i mu_i Q mu_i to ``out``, the
+    column dict of phase h of row j of B; ``plan`` is the ``_plan`` entry of
+    row j and phase h."""
+    for cols, u, s, e, c in plan:
+        if k >= e:
+            src = cols.get(u)
             if src is not None:
-                for s, e2, c2 in tails:
-                    r = k - e1 - e2
-                    if r >= 0:
-                        x = src[r]
-                        if x:
-                            cell = out.get(s)
-                            if cell is None:
-                                cell = out[s] = [0] * n_coeffs + [k]
-                            cell[k] += c1 * c2 * x
+                x = src[k - e]
+                if x:
+                    cell = out.get(s)
+                    if cell is None:
+                        cell = out[s] = [0] * n_coeffs + [k]
+                    cell[k] += c * x
 
 
 def _q_row(b_j: tuple, q: list, out: dict, k: int, h: int, step: int, n_coeffs: int):
@@ -207,15 +208,15 @@ def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
     It runs on the trivial grading.
     """
     grading = _trivial(mats, dim)
-    paths = _paths(mats, grading)
     q = _identity(grading, n_coeffs)
     for _ in range(steps):
-        b = [({},) for _ in paths]
+        plan = _plan(mats, grading, q)  # B reads this sweep's Q
+        b = [({},) for _ in plan]
         new = _identity(grading, n_coeffs)
         for k in range(n_coeffs):
             # on the trivial grading every phase is 0 and the stride 1
-            for row, b_j in zip(paths, b):
-                _b_row(row, q, b_j[0], k, 0, n_coeffs)
+            for row, b_j in zip(plan, b):
+                _b_row(row[0], b_j[0], k, n_coeffs)
             for b_j, new_j in zip(b, new):
                 _q_row(b_j, q, new_j[0], k, 0, 1, n_coeffs)
         q = new
@@ -252,16 +253,16 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
                             f"z^{e} entry ({j}, {t}) of letter {i} breaks the "
                             "Z/2 grading derived for the representation"
                         )
-    paths = _paths(mats, grading)
-    b = [({}, {})[:step] for _ in paths]
     q = _identity(grading, n_coeffs)
+    plan = _plan(mats, grading, q)
+    b = [({}, {})[:step] for _ in plan]
     half = (modulus - 1) // 2
     for k in range(n_coeffs):
         kp = k % step
         for j in range(dim - 1, -1, -1):
             h = phase[j] ^ kp
             b_j, q_j = b[j][h], q[j][h]
-            _b_row(paths[j], q, b_j, k, h, n_coeffs)
+            _b_row(plan[j][h], b_j, k, n_coeffs)
             _q_row(b[j], q, q_j, k, h, step, n_coeffs)
             if modulus:  # row j of order k is final
                 for cells in (b_j, q_j):

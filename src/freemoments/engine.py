@@ -22,9 +22,10 @@ Given a noncommutative polynomial p and a target order M, the engine
    from last to first: the z^0 part is strictly upper triangular, so this
    is a back-substitution.  Every mu_i entry has z-degree <= 1, so eta(Q)
    takes no convolution, and each order does one matrix-series product,
-   eta(Q) Q, whatever the number of letters.  When some weight chi of the
-   letters makes every word of q odd, the rows have a Z/2 grading (a phase
-   per state, with z on exactly the edges whose phases and letter weight
+   eta(Q) Q, whatever the number of letters, with eta(Q) summed over a flat
+   plan per row and phase built once per solve.  When some weight chi of
+   the letters makes every word of q odd, the rows have a Z/2 grading (a
+   phase per state, with z on exactly the edges whose phases and letter weight
    sum to 1), and ``_kernel.solve`` finds it by itself: a cell of P is then
    nonzero only at orders of one parity, so each order writes half of the
    cells and the convolutions take every second order (see ``_kernel``).
@@ -47,26 +48,25 @@ Given a noncommutative polynomial p and a target order M, the engine
    ``AssertionError`` naming the order);
 6. recovers tau((lam*p)(s)^m) by the binomial theorem in lam*c, over ``int``
    pairs and only the orders j with tau((lam*q)^j) != 0, and divides each
-   order once by lam^m.  A constant p has no words: the automaton is empty
-   (N = 0) and only the (lam*c)^m term remains.
+   order once by lam^m, a running product.  A constant p has no words:
+   the automaton is empty (N = 0) and only the (lam*c)^m term remains.
 
 The paper's route (its block constructions and the T = deg(q)*M sweep)
 lives in ``reference``, which this module does not import: the tests check
 the engine against it.
 
 Everything is exact; the returned moments are Scalars, built once per
-order from two ``Fraction``s.
+order from int parts over lam^m by ``scalar.from_ints``, unvalidated.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from . import _kernel
 from .ncpoly import NCPolynomial
-from .scalar import Scalar
+from .scalar import Scalar, from_ints
 
 # the solve keeps length-(M+1) coefficient lists; refuse an M whose lists
 # alone would exhaust memory before any arithmetic (same bound as the
@@ -169,6 +169,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     taus = [(0, 1, 0)]  # (j, re, im) for each nonzero tau((lam*q)^j), j < m
     c_pows = [(1, 0)]  # (lam*c)^k
     norm_bound = 1  # B^(2m)
+    den = 1  # lam^m
     values = []
     for m in range(1, n_coeffs):
         t_re, t_im = entry[m], 0
@@ -198,8 +199,8 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
             )
         if t_re or t_im:
             taus.append((m, t_re, t_im))
-        den = lam**m
-        values.append(Scalar(Fraction(x, den), Fraction(y, den)))
+        den *= lam
+        values.append(from_ints(x, y, den))
     return MomentVector(tuple(values), n_states, p.n_vars, p.degree, p.n_terms)
 
 

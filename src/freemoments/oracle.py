@@ -31,7 +31,6 @@ deliberately exponential:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import xor
@@ -39,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapExceededError
 from .ncpoly import NCPolynomial, Word
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, from_ints
 
 Pairing = Tuple[Tuple[int, int], ...]
 
@@ -250,8 +249,7 @@ def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
                 k = math.comb(m, j)
                 re += k * (a * s_re - b * s_im)
                 im += k * (a * s_im + b * s_re)
-        den = lam ** m
-        values.append(Scalar(Fraction(re, den), Fraction(im, den)))
+        values.append(from_ints(re, im, lam**m))
     return values
 
 

@@ -10,7 +10,8 @@ The public constructor ``Scalar(re, im)`` validates and converts its
 arguments; a part whose class is exactly ``Fraction`` is kept as it is.
 Arithmetic results are built by ``_make`` from parts that are already
 ``Fraction``s (a ``Fraction`` combined with a ``Fraction`` or an ``int`` is
-again a ``Fraction``), so they skip that check.  An ``int``
+again a ``Fraction``), so they skip that check, as do the moments built
+by ``from_ints`` from int parts over a denominator.  An ``int``
 operand of ``+`` or ``*`` is combined with the parts directly, since the
 kernel's cells start as ``int`` zeros; operands of any other type go through
 ``_coerce`` first, which refuses floats.
@@ -245,6 +246,16 @@ def _make(re: Fraction, im: Fraction) -> Scalar:
     _set_re(s, re)
     _set_im(s, im)
     return s
+
+
+_ZERO_PART = Fraction(0)  # every zero part ``from_ints`` builds
+
+
+def from_ints(x: int, y: int, den: int) -> Scalar:
+    """(x + y*i) / den in normal form, for ``int``s x, y and den >= 1, unchecked."""
+    if den == 1:  # no gcd to take
+        return _make(Fraction(x) if x else _ZERO_PART, Fraction(y) if y else _ZERO_PART)
+    return _make(Fraction(x, den) if x else _ZERO_PART, Fraction(y, den) if y else _ZERO_PART)
 
 
 ZERO = Scalar(0)

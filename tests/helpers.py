@@ -320,6 +320,26 @@ def random_kernel_rows(rng: random.Random, graded: bool):
     return mats, dim
 
 
+def kernel_row_features(mats) -> Tuple[bool, bool]:
+    """Whether two letters give the same product mu_i[j][t] Q[t][u] mu_i[u][s]
+    at the same z-degree e (the kernel then adds both into one cell of B), and
+    whether some entry has both a z^0 and a z^1 part."""
+    letters = {}  # (j, t, u, s, e) -> letters that give it
+    for i, mu in enumerate(mats):
+        ends = [(u, s, e) for u, entries in mu.items() for s, zp in entries
+                for e, c in enumerate(zp) if c]
+        for j, entries in mu.items():
+            for t, zp in entries:
+                for e1, c1 in enumerate(zp):
+                    if c1:
+                        for u, s, e2 in ends:
+                            letters.setdefault((j, t, u, s, e1 + e2), set()).add(i)
+    shared = any(len(found) > 1 for found in letters.values())
+    two_part = any(len(zp) > 1 and zp[0] and zp[1]
+                   for mu in mats for entries in mu.values() for _, zp in entries)
+    return shared, two_part
+
+
 # -- exact linear algebra helpers ---------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from freemoments.engine import MAX_ORDER, MomentVector, build_trie_rows
 from freemoments.reference import iterate_system, reduce_rep, rep_variable
 
 import properties
-from helpers import dense_jacobi, dense_solve, random_kernel_rows
+from helpers import dense_jacobi, dense_solve, kernel_row_features, random_kernel_rows
 
 
 def test_reduce_rep_examples():
@@ -172,6 +172,44 @@ def test_moment_vector_deepcopy_and_pickle():
     assert mv == (mv.values, mv.rep_dim, mv.n_vars, mv.degree, mv.n_terms)
 
 
+def test_moment_values_are_in_normal_form():
+    # moments() and brute_moments() build their Scalars without the
+    # validating constructor; every part must still be a reduced Fraction,
+    # and each value must behave exactly like Scalar(Fraction(x, den),
+    # Fraction(y, den)) with den = lam^m
+    from freemoments.oracle import brute_moments
+
+    cases = (
+        ("x1*x2 + x2*x1", 2),  # integer
+        ("1/2*x1^2 + 3/2*x2", 2),  # rational, lam = 2
+        ("2*x1*x2 - i*x2*x1 + 1/3*i*x1", 2),  # complex, lam = 3
+        ("x1^2 - 2/3", 1),  # with a constant term
+        ("5/2", 1),  # constant only, N = 0
+        ("1 - 2*i", 1),
+    )
+    for text, n_vars in cases:
+        p = parse_polynomial(text, n_vars)
+        lam, _ = p.integer_terms()
+        mv = moments(p, 5)
+        oracle_values = brute_moments(p, 5)
+        assert list(mv.values) == oracle_values, text
+        assert (mv.rep_dim == 0) == (p.degree == 0), text
+        for m, got in [*enumerate(mv.values, 1), *enumerate(oracle_values, 1)]:
+            den = lam**m
+            for part in (got.re, got.im):
+                assert part.__class__ is Fraction, (text, m)
+                assert part.denominator > 0, (text, m)
+                assert math.gcd(part.numerator, part.denominator) == 1, (text, m)
+                assert (part * den).denominator == 1, (text, m)
+            x, y = int(got.re * den), int(got.im * den)
+            built = Scalar(Fraction(x, den), Fraction(y, den))
+            clones = [copy.deepcopy(got), pickle.loads(pickle.dumps(got))]
+            for value in (got, *clones):
+                assert value == built and hash(value) == hash(built), (text, m)
+                assert str(value) == str(built), (text, m)
+                assert value.re.__class__ is Fraction is value.im.__class__
+
+
 def test_moments_rational_scaling():
     # denominators are cleared internally; results stay exact rationals
     mv = moments(parse_polynomial("1/2*x1", 1), 4)
@@ -248,13 +286,18 @@ def test_iterate_matches_dense_jacobi():
     import random
 
     rng = random.Random(2001)
+    features = []
     for case in range(60):
         mats, dim = random_kernel_rows(rng, case % 2 == 0)
+        features.append(kernel_row_features(mats))
         n_coeffs = rng.randint(1, 6)
         for steps in range(1, dim + 3):
             expected = dense_jacobi(mats, dim, n_coeffs, steps)[0][dim - 1]
             got = _kernel.iterate(mats, dim, n_coeffs, steps)
             assert got == expected, (case, steps)
+    # the corpus has letters that give one product of B twice, and entries
+    # with both a z^0 and a z^1 part
+    assert [any(seen) for seen in zip(*features)] == [True, True]
 
 
 def _violations(mats, grading):
@@ -318,8 +361,10 @@ def test_solve_matches_dense_reference():
 
     rng = random.Random(1515)
     kinds = set()
+    features = []
     for case in range(60):
         mats, dim = random_kernel_rows(rng, case % 2 == 0)
+        features.append(kernel_row_features(mats))
         n_coeffs = rng.randint(1, 8)
         grading = _kernel._grading(mats, dim)
         kinds.add(grading is not None)
@@ -345,6 +390,7 @@ def test_solve_matches_dense_reference():
                             if (k + phase[j] + phase[l]) % 2
                         ), (case, j, l)
     assert kinds == {True, False}
+    assert [any(seen) for seen in zip(*features)] == [True, True]
 
 
 def test_complex_decode():
