@@ -40,10 +40,11 @@ back-substitution, and every value is final when it is written.
 
 ``solve`` also skips the orders a cell cannot hold.  For free semicirculars
 tau(w) = 0 unless every letter occurs in w an even number of times, and the
-rows often carry the parity this leaves.  ``_grading`` looks for a phase
-phi(j) per state and a weight chi_i per letter with
-phi(j) + phi(t) + chi_i = e (mod 2) for every nonzero z^e coefficient at
-(j, t) of mu_i, by elimination over GF(2).  If there is one, Q[j][l] and
+rows often carry the parity this leaves: a Z/2 grading, a phase phi(j) per
+state and a weight chi_i per letter with phi(j) + phi(t) + chi_i = e
+(mod 2) for every nonzero z^e coefficient at (j, t) of mu_i.  The caller
+that built the rows knows whether they have one and passes it in (the
+engine's builder finds it from q's words).  With a grading, Q[j][l] and
 B[j][l] are nonzero only at orders k = phi(j) + phi(l), by induction on the
 fixed point: a z^e1 entry at (j, t) of mu_i, Q[t][u] at an order of
 parity phi(t) + phi(u) and a z^e2 entry at (u, s) of the same mu_i land at
@@ -55,7 +56,7 @@ allows, and ``_q_row`` convolves with stride 2, ``f[v:k+1:2]`` against
 orders.  Rows without a grading (``x1^2 + x2^2``, or any entry with both a
 z^0 and a z^1 part) run the same loop on the trivial grading: every phase
 0, stride 1, one column dict per row.  ``solve`` checks every entry
-against the grading it derived before any arithmetic.
+against the grading it was given before any arithmetic.
 """
 
 from __future__ import annotations
@@ -65,53 +66,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 # sparse matrices, one per letter: row index -> list of (col, coeff tuple)
 SparseMats = Sequence[Dict[int, List[Tuple[int, tuple]]]]
-# (phase of each state, weight of each letter, order step); see ``_grading``
+# (phase of each state, weight of each letter, order step); see above
 Grading = Tuple[Sequence[int], Sequence[int], int]
 
 
 def _trivial(mats: SparseMats, dim: int) -> Grading:
     """Every phase 0, stride 1: every order may fill every cell."""
     return [0] * dim, [0] * len(mats), 1
-
-
-def _grading(mats: SparseMats, dim: int) -> Optional[Grading]:
-    """A Z/2 grading of the rows, or None when they have none.
-
-    Finds phases phi(j) of the states and weights chi_i of the letters with
-    phi(j) + phi(t) + chi_i = e (mod 2) for every nonzero z^e coefficient of
-    every entry (j, t) of mu_i, by elimination over GF(2): an equation is an
-    int whose bits 0..dim-1 are the phases, the next len(mats) bits the
-    weights and the bit above them its right-hand side.
-    """
-    n_unknowns = dim + len(mats)
-    rhs = 1 << n_unknowns
-    pivots = {}  # lowest unknown bit -> reduced equation with that lowest bit
-    for i, mu in enumerate(mats):
-        letter = 1 << (dim + i)
-        for j, entries in mu.items():
-            for t, zp in entries:
-                for e, c in enumerate(zp):
-                    if not c:
-                        continue
-                    eq = (1 << j) ^ (1 << t) ^ letter ^ (rhs if e & 1 else 0)
-                    while eq & (rhs - 1):
-                        low = eq & -eq
-                        if low not in pivots:
-                            pivots[low] = eq
-                            break
-                        eq ^= pivots[low]
-                    else:
-                        if eq:  # 0 = 1
-                            return None
-    # the other unknowns of a pivot's equation are higher than its pivot, so
-    # from the highest pivot down each value is fixed; free unknowns are 0
-    value = 0
-    for low in sorted(pivots, reverse=True):
-        eq = pivots[low]
-        if ((eq & value).bit_count() + (eq >> n_unknowns)) & 1:
-            value |= low
-    bits = [(value >> b) & 1 for b in range(n_unknowns)]
-    return bits[:dim], bits[dim:], 2
 
 
 def _plan(mats: SparseMats, grading: Grading, q: list) -> list:
@@ -223,19 +184,20 @@ def iterate(mats: SparseMats, dim: int, n_coeffs: int, steps: int) -> list:
     return _merged(q).get(0, {}).get(dim - 1, [0] * n_coeffs)
 
 
-def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
+def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
+          grading: Optional[Grading] = None) -> dict:
     """Solve for P over ``int`` by back-substitution, one order at a time.
 
     Every z^0 entry (j, t) of the mu_i must have t > j, and every nonzero
-    entry must satisfy the grading ``_grading`` derives; otherwise
-    ``AssertionError`` is raised before any arithmetic.  With a ``modulus``
-    n, every cell of B and of Q written at order k is brought back into
-    (-n/2, n/2] once its row is done, so P is exact modulo n.  Returns
-    exactly the nonzero cells of P, as sparse rows: row j -> {column l:
-    coefficient list}, with no empty row.
+    entry must satisfy the ``grading`` given (None is the trivial grading,
+    which every entry satisfies); otherwise ``AssertionError`` is raised
+    before any arithmetic.  With a ``modulus`` n, every cell of B and of Q
+    written at order k is brought back into (-n/2, n/2] once its row is
+    done, so P is exact modulo n.  Returns exactly the nonzero cells of P,
+    as sparse rows: row j -> {column l: coefficient list}, with no empty
+    row.
     """
-    found = _grading(mats, dim)
-    grading = found or _trivial(mats, dim)
+    grading = grading or _trivial(mats, dim)
     phase, chi, step = grading
     for i, mu in enumerate(mats):
         for j, entries in mu.items():
@@ -245,13 +207,13 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0) -> dict:
                         f"z^0 entry ({j}, {t}) is on or below the diagonal: "
                         "the z^0 part of the representation is not nilpotent"
                     )
-                if found is None:
+                if step == 1:  # every order may fill every cell
                     continue
                 for e, c in enumerate(zp):
                     if c and (phase[j] + phase[t] + chi[i] + e) % 2:
                         raise AssertionError(
                             f"z^{e} entry ({j}, {t}) of letter {i} breaks the "
-                            "Z/2 grading derived for the representation"
+                            "Z/2 grading given for the representation"
                         )
     q = _identity(grading, n_coeffs)
     plan = _plan(mats, grading, q)

@@ -5,11 +5,16 @@ Given a noncommutative polynomial p and a target order M, the engine
 1. clears the denominators of every coefficient of p, the constant c
    included (``NCPolynomial.integer_terms``), so lam*p has Gaussian-integer
    coefficients, and sets its constant lam*c aside: lam*p = lam*c + lam*q;
-2. builds (z*lam*q)* as a weighted automaton on the prefix trie of q's words:
-   one state per proper nonempty prefix, then the start state, which is
-   also the final state, so N = 1 + #prefixes.  z rides on the edges
-   leaving the start state, and the term coefficient on each word's last
-   edge, which goes back into the start state (the star);
+2. builds (z*lam*q)* as a weighted automaton on the residuals of q
+   (Berstel and Reutenauer, Noncommutative Rational Series with
+   Applications, ch. 2): its states are the distinct nonconstant
+   residuals a^-1 f of q and of the states, each divided by its integer
+   content and sign, then the start state q, which is also the final
+   state.  From state f, a^-1 f = c0 + g*r gives an edge of weight g to
+   state r and one of weight c0 back into the start state (the star), and
+   z rides on the edges leaving the start state.  So N is at most
+   1 + #prefixes of q's words, and a power of a sum collapses:
+   ``(x1+x2)^8`` has N = 8 where its prefixes number 254;
 3. writes the automaton straight into sparse kernel rows over plain ``int``,
    one set per letter that occurs, realizing the substitution X_i -> 1.
    When a coefficient is complex, a + b*i is written as the single int
@@ -25,10 +30,11 @@ Given a noncommutative polynomial p and a target order M, the engine
    eta(Q) Q, whatever the number of letters, with eta(Q) summed over a flat
    plan per row and phase built once per solve.  When some weight chi of
    the letters makes every word of q odd, the rows have a Z/2 grading (a
-   phase per state, with z on exactly the edges whose phases and letter weight
-   sum to 1), and ``_kernel.solve`` finds it by itself: a cell of P is then
-   nonzero only at orders of one parity, so each order writes half of the
-   cells and the convolutions take every second order (see ``_kernel``).
+   phase per state, with z on exactly the edges whose phases and letter
+   weight sum to 1), which the builder finds from q's words alone and
+   hands to ``_kernel.solve``: a cell of P is then nonzero only at orders
+   of one parity, so each order writes half of the cells and the
+   convolutions take every second order (see ``_kernel``).
    For free semicirculars tau(w) = 0 unless every letter occurs in w an
    even number of times, so such a q has tau(q^m) = 0 at odd m.  The z^m
    coefficient of entry (start, start) is then tau((lam*q)(s)^m) for every
@@ -62,7 +68,7 @@ order from int parts over lam^m by ``scalar.from_ints``, unvalidated.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import _kernel
 from .ncpoly import NCPolynomial
@@ -84,8 +90,8 @@ class MomentVector(NamedTuple):
     """
 
     values: Tuple[Scalar, ...]
-    rep_dim: int        # N states of the trie automaton, or 0 when p was
-                        # constant
+    rep_dim: int        # N states of the residual automaton, or 0 when p
+                        # was constant
     n_vars: int
     degree: int
     n_terms: int
@@ -101,36 +107,81 @@ class MomentVector(NamedTuple):
         return self.values[m - 1]
 
 
-def build_trie_rows(terms) -> Tuple[List[dict], int]:
-    """Kernel rows of (z*q)* on the prefix trie of q's words.
+def build_residual_rows(terms) -> Tuple[List[dict], int, Optional[_kernel.Grading]]:
+    """Kernel rows of (z*q)* on the residual automaton of q, and its grading.
 
     ``terms`` lists q's terms as ``(word, weight)`` with nonempty words and
-    nonzero ``int`` weights.  Returns the rows of each letter that occurs
-    (row -> [(col, z-coefficient tuple)]) and the state count
-    N = 1 + #prefixes (0 without terms).  Prefix states come first, parents
-    before children, then the start state N - 1, which is also the final
-    state: each word's last edge goes back into it.  Every z^0 edge goes to
-    a higher state, since only edges leaving the start state, which carry
-    z, can end on or below their source.
+    nonzero ``int`` weights.  The states are q and the distinct nonconstant
+    residuals a^-1 f of the states f, each divided by its integer content
+    and sign: a^-1 f = c0 + g*r gives an edge of weight g to state r and
+    one of weight c0 back into q, the start state, which is also final.
+    The internal states are numbered by decreasing degree, in creation
+    order, and the start state is N - 1; N is 0 without terms.  So every
+    z^0 edge goes to a higher state, since only edges leaving the start
+    state, which carry z, can end on or below their source.
+
+    Returns the rows of each letter that occurs (row -> [(col, z-coefficient
+    tuple)]), N, and the rows' grading, or None when they have none.  They
+    have one exactly when some weight chi of the letters makes every word of
+    q odd (see ``_kernel``); the start state's phase is then 0, and an
+    internal state's the chi-parity of its words, which all share it.
     """
-    states = {}  # proper nonempty prefix -> state, in creation order
-    for word, _ in terms:
-        for j in range(1, len(word)):
-            states.setdefault(word[:j], len(states))
-    start = states[()] = len(states)
-    edges = {}  # (letter, src, dst) -> weight
-    for word, weight in terms:
-        for j in range(1, len(word)):
-            edges[word[j - 1], states[word[: j - 1]], states[word[:j]]] = 1
-        edges[word[-1], states[word[:-1]], start] = weight
+    if not terms:  # a constant p has no words, hence no states
+        return [], 0, None
+    polys = [dict(terms)]  # the start state q, then the residuals as created
+    found = {}  # normalized residual, as a set of terms -> its index in polys
+    edges = []  # (letter, src, dst, weight), indices in polys
+    for src, f in enumerate(polys):
+        parts = {}  # letter a -> a^-1 f
+        for word, c in f.items():
+            parts.setdefault(word[0], {})[word[1:]] = c
+        for letter, part in parts.items():
+            c0 = part.pop((), 0)
+            if c0:
+                edges.append((letter, src, 0, c0))
+            if part:
+                g = math.gcd(*part.values())
+                g = -g if part[min(part)] < 0 else g
+                if g != 1:
+                    part = {word: c // g for word, c in part.items()}
+                key = frozenset(part.items())
+                if key not in found:
+                    found[key] = len(polys)
+                    polys.append(part)
+                edges.append((letter, src, found[key], g))
+    n_states = len(polys)
+    internal = sorted(range(1, n_states), key=lambda s: -max(map(len, polys[s])))
+    number = {s: n for n, s in enumerate([*internal, 0])}
     rows = {}  # letter -> row -> [(col, z-coefficient tuple)]
-    for (letter, src, dst), weight in edges.items():
+    for letter, src, dst, weight in edges:
         # every edge leaving the start state carries one z
-        rows.setdefault(letter, {}).setdefault(src, []).append(
-            (dst, (0, weight) if src == start else (weight,))
+        rows.setdefault(letter, {}).setdefault(number[src], []).append(
+            (number[dst], (weight,) if src else (0, weight))
         )
-    # a constant p has no words, hence no states
-    return list(rows.values()), start + 1 if terms else 0
+    # chi by elimination over GF(2): bit 0 of an equation is its right-hand
+    # side, and bit i + 1 the weight of the letter of rows[i]
+    index = {letter: i for i, letter in enumerate(rows)}
+    basis = []  # reduced equations, by decreasing leading bit
+    for word in polys[0]:
+        eq = 1
+        for letter in word:
+            eq ^= 2 << index[letter]
+        for b in basis:
+            eq = min(eq, eq ^ b)
+        if eq == 1:  # 0 = 1
+            return list(rows.values()), n_states, None
+        if eq:
+            basis.append(eq)
+            basis.sort(reverse=True)
+    # a reduced equation's other letters are below its leading one, so from
+    # the lowest leading bit up each weight is fixed; free weights are 0
+    chi = 0
+    for b in reversed(basis):
+        if ((b & chi).bit_count() + b) & 1:
+            chi |= 1 << (b.bit_length() - 1)
+    weights = [(chi >> i) & 1 for i in range(1, len(index) + 1)]
+    phase = [sum(weights[index[a]] for a in next(iter(polys[s]))) & 1 for s in internal]
+    return list(rows.values()), n_states, (phase + [0], weights, 2)
 
 
 def moments(p: NCPolynomial, max_order: int) -> MomentVector:
@@ -153,9 +204,11 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     shift = max_order * bound.bit_length() + 2
     r = 1 << shift if any(im for _, _, im in terms) else 0
     modulus = r * r + 1 if r else 0
-    rows, n_states = build_trie_rows([(w, re + im * r) for w, re, im in terms])
+    rows, n_states, grading = build_residual_rows(
+        [(w, re + im * r) for w, re, im in terms]
+    )
     n_coeffs = max_order + 1
-    p_mat = _kernel.solve(rows, n_states, n_coeffs, modulus)
+    p_mat = _kernel.solve(rows, n_states, n_coeffs, modulus, grading)
     start = n_states - 1
     entry = p_mat.get(start, {}).get(start, [0] * n_coeffs)
     if entry[0]:

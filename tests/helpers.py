@@ -292,7 +292,8 @@ def random_kernel_rows(rng: random.Random, graded: bool):
     With ``graded``, a random phase per state and weight per letter decide
     which of z^0 and z^1 each entry may carry, so the rows have a Z/2
     grading; otherwise an entry takes either part or both.  Returns
-    ``(mats, dim)``.
+    ``(mats, dim, grading)``, with the grading in ``_kernel``'s form
+    ``(phases, letter weights, 2)`` when ``graded`` and None otherwise.
     """
     dim = rng.randint(1, 5)
     n_letters = rng.randint(1, 3)
@@ -317,7 +318,7 @@ def random_kernel_rows(rng: random.Random, graded: bool):
             if entries:
                 rows[j] = entries
         mats.append(rows)
-    return mats, dim
+    return mats, dim, ((phase, chi, 2) if graded else None)
 
 
 def kernel_row_features(mats) -> Tuple[bool, bool]:

@@ -460,12 +460,12 @@ def test_internal_error_exit_3(capsys, monkeypatch):
 def test_kernel_invariant_exit_3(capsys, monkeypatch):
     import freemoments.engine as engine_module
 
-    def cyclic(q):
+    def cyclic(terms):
         # a z^0 self-loop on the start state makes the fixed-point solve
-        # diverge: one variable, two states
-        return [{0: [(0, (1,))]}], 2
+        # diverge: one variable, two states, no grading
+        return [{0: [(0, (1,))]}], 2, None
 
-    monkeypatch.setattr(engine_module, "build_trie_rows", cyclic)
+    monkeypatch.setattr(engine_module, "build_residual_rows", cyclic)
     code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
     assert code == 3
     assert "not nilpotent" in err
@@ -497,14 +497,17 @@ def test_empty_internal_error_names_its_class(capsys, monkeypatch):
 
 
 def test_wrong_grading_exit_3(capsys, monkeypatch):
-    import freemoments._kernel as kernel_module
+    import freemoments.engine as engine_module
 
-    def wrong(mats, dim):
+    build = engine_module.build_residual_rows
+
+    def wrong(terms):
         # a grading with every phase and weight 0 claims that every entry
         # sits at an even z-degree, but the start state's edges carry z
-        return [0] * dim, [0] * len(mats), 2
+        mats, dim, _ = build(terms)
+        return mats, dim, ([0] * dim, [0] * len(mats), 2)
 
-    monkeypatch.setattr(kernel_module, "_grading", wrong)
+    monkeypatch.setattr(engine_module, "build_residual_rows", wrong)
     # x1*x2 + x2*x1 has a grading, just not this one; x1^2 has none at all
     for poly in ("x1*x2 + x2*x1", "x1^2"):
         code, out, err = run(
@@ -518,7 +521,7 @@ def test_wrong_grading_exit_3(capsys, monkeypatch):
 def test_norm_bound_violation_exit_3(capsys, monkeypatch):
     import freemoments._kernel as kernel_module
 
-    def out_of_bound(mats, dim, n_coeffs, modulus=0):
+    def out_of_bound(mats, dim, n_coeffs, modulus=0, grading=None):
         # |tau(s^2)| <= ||s||^2 = 4, but order 2 reads 5
         start = dim - 1
         return {start: {start: [0, 0, 5] + [0] * (n_coeffs - 3)}}
@@ -530,7 +533,7 @@ def test_norm_bound_violation_exit_3(capsys, monkeypatch):
     assert "order 2" in err and "norm bound" in err
     # the same guard catches a wrong decode of a complex weight: order 1
     # reads r + 3, i.e. tau = 3 + i where |tau(i*s)| <= 2 allows no real part
-    def off_by_three(mats, dim, n_coeffs, modulus=0):
+    def off_by_three(mats, dim, n_coeffs, modulus=0, grading=None):
         r = math.isqrt(modulus - 1)
         start = dim - 1
         return {start: {start: [0, r + 3] + [0] * (n_coeffs - 2)}}
@@ -544,7 +547,7 @@ def test_norm_bound_violation_exit_3(capsys, monkeypatch):
 def test_self_adjoint_moment_not_real_exit_3(capsys, monkeypatch):
     import freemoments._kernel as kernel_module
 
-    def imaginary(mats, dim, n_coeffs, modulus=0):
+    def imaginary(mats, dim, n_coeffs, modulus=0, grading=None):
         # i*x1*x2 - i*x2*x1 is self-adjoint; order 2 reads tau = i
         r = math.isqrt(modulus - 1)
         start = dim - 1

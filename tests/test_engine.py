@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -18,7 +19,7 @@ from freemoments import (
 )
 from freemoments import _kernel
 from freemoments.cli import complexity_probe
-from freemoments.engine import MAX_ORDER, MomentVector, build_trie_rows
+from freemoments.engine import MAX_ORDER, MomentVector, build_residual_rows
 from freemoments.reference import iterate_system, reduce_rep, rep_variable
 
 import properties
@@ -288,7 +289,7 @@ def test_iterate_matches_dense_jacobi():
     rng = random.Random(2001)
     features = []
     for case in range(60):
-        mats, dim = random_kernel_rows(rng, case % 2 == 0)
+        mats, dim, _ = random_kernel_rows(rng, case % 2 == 0)
         features.append(kernel_row_features(mats))
         n_coeffs = rng.randint(1, 6)
         for steps in range(1, dim + 3):
@@ -313,43 +314,62 @@ def _violations(mats, grading):
     ]
 
 
-def _trie_rows(text, n_vars):
+def _rows(text, n_vars):
     _, terms = parse_polynomial(text, n_vars).integer_terms()
-    return build_trie_rows([(w, re) for w, re, _ in terms if w])
+    return build_residual_rows([(w, re) for w, re, _ in terms if w])
+
+
+def _has_odd_weights(words, n_vars):
+    """Whether some letter weight chi in {0, 1}^n makes every word odd."""
+    return any(
+        all(sum(chi[a - 1] for a in word) % 2 for word in words)
+        for chi in itertools.product((0, 1), repeat=n_vars)
+    )
 
 
 def test_grading_examples():
     # every word of x1*x2 + x2*x1 and of x1^3 - 3*x1 is odd once chi = 1 on
-    # each letter; x1^2 + x2^2 has no such chi
-    for text, n_vars in (("x1*x2 + x2*x1", 2), ("x1^3 - 3*x1", 1)):
-        mats, dim = _trie_rows(text, n_vars)
-        grading = _kernel._grading(mats, dim)
+    # each letter, and every word of x1*x2 + x2*x3 once chi is 1 on x2 alone
+    # or on x1 and x3; x1^2 + x2^2 has no such chi
+    for text, n_vars in (("x1*x2 + x2*x1", 2), ("x1^3 - 3*x1", 1), ("x1*x2 + x2*x3", 3)):
+        mats, dim, grading = _rows(text, n_vars)
         assert grading is not None, text
         assert grading[2] == 2 and not _violations(mats, grading), text
-    assert _kernel._grading(*_trie_rows("x1^2 + x2^2", 2)) is None
-    # an entry with both a z^0 and a z^1 part fits neither parity; split
-    # over two letters, the letter weights absorb the difference
-    assert _kernel._grading([{0: [(1, (1, 1))]}], 2) is None
-    assert _kernel._grading([{0: [(1, (1,))]}, {0: [(1, (0, 1))]}], 2) is not None
+        assert grading[0][dim - 1] == 0, text  # the start state
+    assert sorted(_rows("x1*x2 + x2*x3", 3)[2][1]) in ([0, 0, 1], [0, 1, 1])
+    assert _rows("x1^2 + x2^2", 2)[2] is None
+    # solve checks every entry against the grading it is given: an entry
+    # with both a z^0 and a z^1 part fits neither parity
+    with pytest.raises(AssertionError, match="grading"):
+        _kernel.solve([{0: [(1, (1, 1))]}], 2, 3, 0, ([0, 0], [0], 2))
 
 
 def test_grading_satisfies_its_entries():
-    # a grading is found whenever the rows were built to have one, and every
-    # grading found holds on every nonzero entry
+    # on seeded polynomials in up to 3 variables, the builder finds a grading
+    # exactly when a brute force over all 2^n letter weights finds a chi that
+    # makes every word odd; every grading found holds on every nonzero entry,
+    # gives the start state phase 0 and leaves the solve unchanged
     import random
 
     rng = random.Random(1502)
     found = 0
     for case in range(300):
-        graded = case % 2 == 0
-        mats, dim = random_kernel_rows(rng, graded)
-        grading = _kernel._grading(mats, dim)
-        if graded:
-            assert grading is not None, case
+        n_vars = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = tuple(rng.randint(1, n_vars) for _ in range(rng.randint(1, 4)))
+            terms[word] = rng.choice((-3, -2, -1, 1, 2, 3))
+        mats, dim, grading = build_residual_rows(list(terms.items()))
+        assert (grading is not None) == _has_odd_weights(terms, n_vars), case
         if grading is not None:
             found += 1
             assert not _violations(mats, grading), case
-    assert 150 < found < 300
+            assert grading[0][dim - 1] == 0, case
+            n_coeffs = rng.randint(1, 6)
+            assert _kernel.solve(mats, dim, n_coeffs, 0, grading) == _kernel.solve(
+                mats, dim, n_coeffs
+            ), case
+    assert 50 < found < 250
 
 
 def test_solve_matches_dense_reference():
@@ -360,18 +380,15 @@ def test_solve_matches_dense_reference():
     import random
 
     rng = random.Random(1515)
-    kinds = set()
     features = []
     for case in range(60):
-        mats, dim = random_kernel_rows(rng, case % 2 == 0)
+        mats, dim, grading = random_kernel_rows(rng, case % 2 == 0)
         features.append(kernel_row_features(mats))
         n_coeffs = rng.randint(1, 8)
-        grading = _kernel._grading(mats, dim)
-        kinds.add(grading is not None)
         zeros = [0] * n_coeffs
         for modulus in (0, 2, 97, 2**40 + 1):
             expected = dense_solve(mats, dim, n_coeffs, modulus)
-            got = _kernel.solve(mats, dim, n_coeffs, modulus)
+            got = _kernel.solve(mats, dim, n_coeffs, modulus, grading)
             nonzero = {
                 (j, l) for j in range(dim) for l in range(dim) if any(expected[j][l])
             }
@@ -389,7 +406,6 @@ def test_solve_matches_dense_reference():
                             c for k, c in enumerate(cell)
                             if (k + phase[j] + phase[l]) % 2
                         ), (case, j, l)
-    assert kinds == {True, False}
     assert [any(seen) for seen in zip(*features)] == [True, True]
 
 
@@ -436,8 +452,101 @@ def test_moments_matches_oracle_smoke():
             assert mv.value(m) == brute_moment(p, m), (text, m)
 
 
+def test_residual_automaton_sizes():
+    # one state per residual up to its content and sign, not one per prefix
+    # (a prefix trie has 13, 255, 63 and 127 states): powers of sums collapse
+    for text, n_vars, n_states in (
+        ("(x1+x2+x3)^3", 3, 3),
+        ("(x1+x2)^8", 2, 8),
+        ("(x1+2*x2)^6 - i*x1*x2", 2, 7),
+        ("(x1+i*x2)^4*(x2-x1)^3 + 2", 2, 10),
+    ):
+        assert moments(parse_polynomial(text, n_vars), 1).rep_dim == n_states, text
+    # a single long word keeps a state per proper prefix (its solve takes
+    # about a second, so only the builder runs)
+    assert _rows("x1^200", 1)[1] == 200
+
+
+def _linear_form(rng, n_vars):
+    """A random sum of a_v x_v over a nonempty set of the variables, each a_v
+    a positive integer, a fraction, a negative integer or a Gaussian integer."""
+    kinds = (
+        lambda: Scalar(rng.randint(1, 3)),
+        lambda: Scalar(Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3)))),
+        lambda: Scalar(-rng.randint(1, 2)),
+        lambda: Scalar(rng.randint(-2, 2), rng.choice((-1, 1))),
+    )
+    used = rng.sample(range(1, n_vars + 1), rng.randint(1, n_vars))
+    return sum(
+        (NCPolynomial.variable(n_vars, v).scale(rng.choice(kinds)()) for v in used),
+        NCPolynomial.zero(n_vars),
+    )
+
+
+def test_structured_inputs_merge_residuals(monkeypatch):
+    # seeded powers and products of random linear forms against the oracle
+    # and, where the paper's sweeps are cheap, against them too; residuals
+    # that differ by a factor merge into one state, which then has incoming
+    # edges of different weights, one of them -1 or of absolute value > 1
+    import random
+
+    from freemoments import engine
+    from freemoments.ncpoly import split_constant
+    from freemoments.oracle import brute_moments
+
+    built = []
+    build = engine.build_residual_rows
+
+    def recording(terms):
+        built.append(build(terms))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "build_residual_rows", recording)
+    rng = random.Random(2302)
+    merges = set()
+    swept = 0
+    for case in range(40):
+        n_vars = rng.randint(1, 3)
+        power = rng.randint(2, 4)
+        p = _linear_form(rng, n_vars) ** power
+        if rng.random() < 0.5:
+            p = p * _linear_form(rng, n_vars) ** rng.randint(1, 4 - power + 1)
+        if rng.random() < 0.3:
+            p = p + rng.choice((1, -2, Scalar(0, 1)))
+        max_order = 3 if p.n_terms <= 16 else 2
+        built.clear()
+        mv = moments(p, max_order)
+        assert list(mv.values) == brute_moments(p, max_order), (str(p), case)
+        mats, dim, _ = built[0]
+        incoming = {}  # internal state -> weights of the edges into it
+        for mu in mats:
+            for entries in mu.values():
+                for t, zp in entries:
+                    if t != dim - 1:
+                        incoming.setdefault(t, set()).add(zp[-1])
+        for weights in incoming.values():
+            if len(weights) > 1:
+                merges.update(
+                    "sign" if w == -1 else "content" for w in weights if abs(w) > 1 or w == -1
+                )
+        c, q = split_constant(p)
+        if q.n_terms <= 8 and q.degree <= 3 and swept < 8:
+            swept += 1
+            rep = build_zq_star(q)
+            series = iterate_system(reduce_rep(rep, 2), rep.dim, 2, q.degree * 2)
+            for m in (1, 2):
+                expected = sum(
+                    (Scalar(math.comb(m, k)) * c**k * series.coefficient(m - k)
+                     for k in range(m)),
+                    c**m,
+                )
+                assert mv.value(m) == expected, (str(p), m)
+    assert merges == {"sign", "content"}
+    assert swept == 8
+
+
 def test_high_degree_inputs():
-    # long words give long z^0 chains of prefix states in the trie
+    # long words give long z^0 chains of residual states
     assert moments(parse_polynomial("x1^80", 1), 1).value(1) == Scalar(catalan(40))
     assert moments(parse_polynomial("x1^40", 1), 2).value(2) == Scalar(catalan(40))
     for text, n_vars, max_order in [
@@ -501,14 +610,14 @@ def test_closed_forms_past_oracle_reach():
     # tau((s1 + ... + sn)^(3m)) = n^(3m/2) Catalan(3m/2), and 0 at odd m
     for n_vars in (3, 2):
         text = "(" + " + ".join(f"x{v}" for v in range(1, n_vars + 1)) + ")^3"
-        mv = moments(parse_polynomial(text, n_vars), 48)
-        for m in range(1, 49):
+        mv = moments(parse_polynomial(text, n_vars), 192)
+        for m in range(1, 193):
             expected = n_vars ** (3 * m // 2) * catalan(3 * m // 2) if m % 2 == 0 else 0
             assert mv.value(m) == Scalar(expected), (text, m)
 
 
 # (text, n_vars, M, bound): the benchmark's deep and wide jobs at seed 1, in
-# job order, and three structured inputs, each with the number of integer
+# job order, and four structured inputs, each with the number of integer
 # products its solve took when the bound was recorded
 KERNEL_PRODUCT_BOUNDS = [
     ("x1*x2 + x2*x1", 2, 64, 2640),
@@ -519,8 +628,9 @@ KERNEL_PRODUCT_BOUNDS = [
     ("x1*x2*x3 + x3*x2*x1 + i*x1^2 - i*x2^2 + 1/2*x3 + x1*x3 + 1", 3, 4, 444),
     ("-1/2*x2^2 - x1^2 - x3*x2 - i*x1*x3 + 2/3*x3 + i*x3*x1 - x2*x3 + 2", 3, 2, 53),
     ("i*x2^2 - 1/2*x3 - x2*x1*x3 + x3*x1*x2 - i*x1^2 + x2*x3 + 1", 3, 2, 56),
-    ("(x1+x2+x3)^3", 3, 48, 645813),
-    ("x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1", 3, 96, 205149),
+    ("(x1+x2+x3)^3", 3, 48, 8027),
+    ("(x1+x2)^8", 2, 2, 480),
+    ("x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1", 3, 96, 195744),
     ("x1^80", 1, 1, 190400),
 ]
 
