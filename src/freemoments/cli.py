@@ -14,6 +14,8 @@ The oracle splits p's constant off by the binomial theorem, but its
 ``--expansion-cap`` still counts p's terms, the constant included.
 
 Each subcommand takes only the flags it reads; ``_COMMANDS`` lists them.
+A call builds only the parser of the subcommand its argv names, and builds
+the top-level parser only for help or for an argv that names no subcommand.
 Values are always printed as exact fractions, at any length (the
 interpreter's ``str(int)`` digit limit is lifted while output is
 formatted); ``moments --decimal`` adds a floating approximation alongside
@@ -416,8 +418,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and each subcommand's parser by name."""
+def _top_parser() -> argparse.ArgumentParser:
+    """The subcommands' names and help lines, without their flags."""
     parser = argparse.ArgumentParser(
         prog="freemoments",
         description=(
@@ -426,21 +428,27 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, (_, help_text, flags) in _COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            command.add_argument(flag, **_OPTIONS[flag])
-    return parser, commands
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser, with the flags it takes."""
+    parser = argparse.ArgumentParser(prog=f"freemoments {name}")
+    for flag in _COMMANDS[name][2]:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser, commands = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        # argparse would report these from the top level, without the usage
-        # of the subcommand that does not take them (exit 2 either way)
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        # help or a usage error, which exit; a parse that returns has read a
+        # subcommand with no flags, which its own parser then reports
+        argv = [_top_parser().parse_args(argv).command]
+    args = _command_parser(argv[0]).parse_args(argv[1:])
+    args.command = argv[0]
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args, sys.stdout)

@@ -235,6 +235,86 @@ def test_option_of_another_subcommand_exit_2(capsys):
         assert f"freemoments {argv[0]}: error: unrecognized arguments: {rejected}\n" in err, argv
 
 
+def test_one_parser_per_subcommand_call(capsys, monkeypatch):
+    # an argv that names a subcommand builds that subcommand's parser alone,
+    # whether it runs or fails its usage
+    import argparse
+    import types
+
+    import freemoments.cli as cli_module
+
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    # a copy of the module for cli alone: argparse's own methods look up
+    # ArgumentParser in its globals, which must stay the original class
+    counting = types.ModuleType("argparse")
+    counting.__dict__.update(vars(argparse), ArgumentParser=CountingParser)
+    monkeypatch.setattr(cli_module, "argparse", counting)
+    for argv, expected in [
+        (("moments", "--poly", "x1", "--max-order", "2"), 0),
+        (("verify", "--poly", "x1", "--max-order", "2"), 0),
+        (("bench", "--poly", "x1", "--sweep", "2"), 0),
+        (("verify", "--poly", "x1", "--max-order", "2", "--decimal"), 2),
+    ]:
+        built.clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code == expected, argv
+        assert built == [f"freemoments {argv[0]}"], (argv, built)
+
+
+def test_help_and_usage_surface(capsys, monkeypatch):
+    import freemoments.cli as cli_module
+
+    monkeypatch.setenv("COLUMNS", "200")
+
+    def exits(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    code, out, _ = exits("--help")
+    assert code == 0
+    assert out.startswith("usage: freemoments [-h] {moments,verify,bench} ...\n")
+    for name, (_, help_text, _) in cli_module._COMMANDS.items():
+        assert f"{name} {help_text}" in " ".join(out.split()), name
+    code, _, err = exits()
+    assert code == 2
+    assert "the following arguments are required: command" in err
+    code, _, err = exits("ver")
+    assert code == 2 and "invalid choice: 'ver'" in err
+    code, out, _ = exits("verify", "--help")
+    assert code == 0
+    assert out.startswith("usage: freemoments verify [-h] --poly POLY")
+    assert "--decimal" not in out and "--sweep" not in out
+
+    # abbreviated and attached option values
+    for argv in [
+        ("verify", "--poly", "x1", "--max", "3", "--format", "csv"),
+        ("verify", "--poly=x1", "--max-order", "3", "--format", "csv"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out.splitlines()[-1] == "3,0,0,1", argv
+
+    # main() reads sys.argv[1:]
+    monkeypatch.setattr(
+        sys, "argv",
+        ["freemoments", "moments", "--poly", "x1", "--max-order", "2", "--format", "csv"],
+    )
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines() == ["m,re,im", "1,0,0", "2,1,0"]
+
+
 def test_parser_blowup_exit_4(capsys):
     import time
 
