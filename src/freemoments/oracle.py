@@ -18,11 +18,14 @@ deliberately exponential:
   counted once, weighted by its number of rotations.  ``brute_moments``
   returns every order up to M from one call, which shares the blocks and
   the sums of q's powers across the orders;
-* a word too long for the cached pairing recursion is counted from an
-  explicit stack, so no input raises ``RecursionError``; one whose
-  subwords outgrow ``PAIRING_STACK_CAP`` raises ``CapExceededError``;
-* the moment <-> free-cumulant conversion sums over non-crossing partitions
-  via the first-block recursion;
+* one counter, ``_pairing_count``, runs the pairing recursion from an
+  explicit stack over one table of counts (``_pairing_table``) shared
+  across orders and calls.  It empties the table before a new word once
+  the table holds more than ``PAIRING_CACHE_MAX`` words, and refuses a
+  word whose subwords pass ``PAIRING_STACK_CAP`` letters with
+  ``CapExceededError``;
+* the moment <-> free-cumulant conversion is one first-block recursion,
+  run forwards or backwards;
 * a second oracle iterates the one-equation algebraic system
   Y <- sum_i (X_i (Y + 1))^2 in the word-truncated series ring and must
   reproduce the pairing counts.
@@ -47,8 +50,8 @@ WORD_MOMENT_CAP = 16
 CUMULANT_CAP = 12
 PSEMI_CAP = 12
 DEFAULT_EXPANSION_CAP = 10**6
-PAIRING_CACHE_MAX = 1 << 16  # words; the cache is cleared past this after each order
-PAIRING_STACK_CAP = 1 << 22  # letters of subwords a word too deep to recurse on may hold
+PAIRING_CACHE_MAX = 1 << 16  # words; the table is emptied past this before a new word
+PAIRING_STACK_CAP = 1 << 22  # letters of subwords one word's count may add to the table
 # A necklace costs about two counted words: besides its pairing count, the
 # FKM step, joining its blocks and multiplying their coefficients take about
 # as long again (measured on the verify corpus and on one-letter inputs).
@@ -86,27 +89,63 @@ def _pairings(lo: int, hi: int):
                 yield ((lo, mate),) + inner + outer
 
 
-@lru_cache(maxsize=None)
-def _consistent_pairing_count(word: Word) -> int:
+@lru_cache(maxsize=1)
+def _pairing_table() -> Dict[Word, int]:
+    """The pairing counts of the words and subwords counted so far.
+
+    One table, shared across orders and calls; ``cache_clear()`` empties it.
+    """
+    return {(): 1}
+
+
+def _pairing_count(word: Word, known: Dict[Word, int]) -> int:
     """Non-crossing pairings of positions of ``word`` matching equal letters.
 
-    First position pairs with a matching letter at odd distance; the interior
-    and exterior segments are independent.  Subword tuples are cached, which
-    shares work across overlapping queries.
+    ``word`` is one that ``known`` does not hold yet; callers look it up
+    first.  The first position pairs with a matching letter at odd
+    distance; the interior and exterior segments are independent.  The
+    recursion runs from an explicit stack, so a word of any length counts
+    without ``RecursionError``: a frame whose next subword is not in
+    ``known`` yet is set aside until it is.  Every subword's count goes into
+    ``known``.  Beforehand ``known`` is emptied if it holds more than
+    ``PAIRING_CACHE_MAX`` words; a word whose subwords add more than
+    ``PAIRING_STACK_CAP`` letters to it is refused with ``CapExceededError``.
     """
-    length = len(word)
-    if length == 0:
-        return 1
-    if length % 2:
-        return 0
-    first = word[0]
-    total = 0
-    for k in range(1, length, 2):
-        if word[k] == first:
-            inner = _consistent_pairing_count(word[1:k])
-            if inner:
-                total += inner * _consistent_pairing_count(word[k + 1 :])
-    return total
+    if len(known) > PAIRING_CACHE_MAX:
+        known.clear()
+        known[()] = 1
+    get = known.get
+    held = 0
+    stack = []  # frames set aside: word, next position to pair with its first, sum
+    w, start, total = word, 1, 0
+    while True:
+        first = w[0]
+        for k in range(start, len(w), 2):
+            if w[k] == first:
+                missing = w[1:k]
+                inner = get(missing)
+                if inner is None:
+                    break
+                if inner:
+                    missing = w[k + 1 :]
+                    outer = get(missing)
+                    if outer is None:
+                        break
+                    total += inner * outer
+        else:
+            known[w] = total
+            held += len(w)
+            if held > PAIRING_STACK_CAP:
+                raise CapExceededError(
+                    f"counting the pairings of a word of length {len(word)} "
+                    f"needs more than {PAIRING_STACK_CAP} letters of subwords"
+                )
+            if not stack:
+                return total
+            w, start, total = stack.pop()
+            continue
+        stack.append((w, k, total))
+        w, start, total = missing, 1, 0
 
 
 def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
@@ -114,7 +153,9 @@ def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
 
     Zero for odd lengths, one for the empty word.  ``max_length`` guards
     against accidental huge inputs; callers that genuinely need longer words
-    (the naive-expansion demo) may raise it.
+    (the naive-expansion demo) may raise it.  The count comes from
+    ``_pairing_count`` on the shared table, so it can also be refused with
+    ``CapExceededError`` (see ``PAIRING_STACK_CAP``).
     """
     word = tuple(word)
     if len(word) > max_length:
@@ -128,7 +169,9 @@ def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
         counts[letter] = counts.get(letter, 0) + 1
     if any(c % 2 for c in counts.values()):
         return ZERO
-    return Scalar(_consistent_pairing_count(word))
+    known = _pairing_table()
+    count = known.get(word)
+    return Scalar(_pairing_count(word, known) if count is None else count)
 
 
 def check_expansion_cap(
@@ -161,7 +204,7 @@ def brute_moments(
     The cap is checked once, at ``max_order``: p's term count, its constant
     included, raised to that power must not exceed ``expansion_cap``
     (``check_expansion_cap``).  The blocks (lam*q)^a of p's nonconstant part
-    q and the pairing cache are shared across the orders; see
+    q and the pairing table are shared across the orders; see
     ``brute_moment``.
     """
     if max_order < 0:
@@ -232,10 +275,6 @@ def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
             re, im = _power_sum(blocks, j, mul, product, gaussian)
             if re or im:
                 sums[j] = (re, im)
-            # keep the cached subwords shared across orders and calls, but
-            # not without bound
-            if _consistent_pairing_count.cache_info().currsize > PAIRING_CACHE_MAX:
-                _consistent_pairing_count.cache_clear()
     powers = [(1, 0)]  # (lam*c)^k
     for _ in range(top):
         a, b = powers[-1]
@@ -366,19 +405,19 @@ def _counted_necklaces(block: Dict[Word, object], r: int, product):
     Over the sequences of r words of ``block``, one per rotation class whose
     concatenated word has a nonzero pairing count, which is tau(w) itself.
     ``product`` multiplies the blocks' coefficients.  With r = 1 every word
-    of ``block`` is its own necklace, and the recursion returns 0 for a word
-    with a letter of odd multiplicity; with r > 1 such a word is skipped
+    of ``block`` is its own necklace, and the count is 0 for a word with a
+    letter of odd multiplicity; with r > 1 such a word is skipped
     before it is counted.
     """
-    count = _consistent_pairing_count
+    known = _pairing_table()
+    get = known.get
     if r == 1:
         for word, c in block.items():
             if len(word) & 1:
                 continue
-            try:
-                k = count(word)
-            except RecursionError:
-                k = _deep_pairing_count(word)
+            k = get(word)
+            if k is None:
+                k = _pairing_count(word, known)
             if k:
                 yield k, c
         return
@@ -395,57 +434,11 @@ def _counted_necklaces(block: Dict[Word, object], r: int, product):
         if repeats & 1 and odd_letters:
             continue
         word *= repeats
-        try:
-            k = count(word)
-        except RecursionError:
-            k = _deep_pairing_count(word)
+        k = get(word)
+        if k is None:
+            k = _pairing_count(word, known)
         if k:
             yield period * k, product(map(coeffs.__getitem__, seq))
-
-
-def _deep_pairing_count(word: Word) -> int:
-    """``_consistent_pairing_count(word)`` for a word too long to recurse on.
-
-    On a cold cache the recursion nests about len(word)/2 calls.  This runs
-    the same recursion from an explicit stack: a frame whose next subword
-    is not known yet is set aside until it is.  The subwords' counts go to
-    a local table, not to the shared cache.  A word whose subwords would
-    hold more than ``PAIRING_STACK_CAP`` letters in that table is refused
-    with ``CapExceededError``.
-    """
-    known: Dict[Word, int] = {(): 1}
-    held = 0
-    stack = [(word, 1, 0)]  # word, next position to pair with its first, sum
-    while True:
-        w, k, total = stack.pop()
-        first = w[0]
-        missing = None
-        while k < len(w):
-            if w[k] == first:
-                inner = known.get(w[1:k])
-                if inner is None:
-                    missing = w[1:k]
-                    break
-                if inner:
-                    outer = known.get(w[k + 1 :])
-                    if outer is None:
-                        missing = w[k + 1 :]
-                        break
-                    total += inner * outer
-            k += 2
-        if missing is None:
-            known[w] = total
-            if not stack:
-                return total
-            held += len(w)
-            if held > PAIRING_STACK_CAP:
-                raise CapExceededError(
-                    f"counting the pairings of a word of length {len(word)} "
-                    f"needs more than {PAIRING_STACK_CAP} letters of subwords"
-                )
-        else:
-            stack.append((w, k, total))
-            stack.append((missing, 1, 0))
 
 
 def _gaussian_product(factors) -> Tuple[int, int]:
@@ -486,67 +479,55 @@ def _mul_gaussian(
 # -- moment <-> free cumulant conversion ------------------------------------------
 
 
-def _composition_sums(moments: List[Scalar], n: int) -> List[List[Scalar]]:
-    """comps[s][t] = sum over (i_1..i_s >= 0, sum = t) of m_{i_1}*...*m_{i_s}.
-
-    ``moments`` holds m_0..m_n.  Rows are built by convolution.
-    """
-    comps = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    if n >= 0:
-        comps[0][0] = ONE
-    for s in range(1, n + 1):
-        prev = comps[s - 1]
-        row = comps[s]
-        for t in range(n + 1):
-            acc = ZERO
-            for i in range(t + 1):
-                if prev[t - i] and moments[i]:
-                    acc = acc + moments[i] * prev[t - i]
-            row[t] = acc
-    return comps
-
-
 def free_cumulants(moments: Sequence[Scalar]) -> List[Scalar]:
     """kappa_1..kappa_k from m_1..m_k via non-crossing partitions.
 
-    Inverts m_n = sum_{s=1}^{n} kappa_s * (sum over gap compositions of
-    products of moments), the recursion obtained by conditioning on the block
-    containing position 1.
+    Inverts m_n = sum_{s=1}^{n} kappa_s * [z^(n-s)] M(z)^s, the recursion
+    obtained by conditioning on the block containing position 1, with
+    M(z) = sum_i m_i z^i and m_0 = 1.
     """
-    k = len(moments)
-    if k > CUMULANT_CAP:
-        raise CapExceededError(f"cumulant order {k} exceeds cap {CUMULANT_CAP}")
-    ms: List[Scalar] = [ONE] + [
-        c if isinstance(c, Scalar) else Scalar(c) for c in moments
-    ]
-    comps = _composition_sums(ms, k)
-    kappas: List[Scalar] = [ZERO] * (k + 1)
-    for n in range(1, k + 1):
-        acc = ms[n]
-        for s in range(1, n):
-            if kappas[s] and comps[s][n - s]:
-                acc = acc - kappas[s] * comps[s][n - s]
-        kappas[n] = acc
-    return kappas[1:]
+    return _first_block(moments, to_moments=False)
 
 
 def moments_from_cumulants(cumulants: Sequence[Scalar]) -> List[Scalar]:
     """m_1..m_k from kappa_1..kappa_k; inverse of ``free_cumulants``."""
-    k = len(cumulants)
+    return _first_block(cumulants, to_moments=True)
+
+
+def _first_block(given: Sequence[Scalar], to_moments: bool) -> List[Scalar]:
+    """The first-block recursion m_n = kappa_n + rest_n, either way round.
+
+    rest_n = sum_{s<n} kappa_s [z^(n-s)] M(z)^s needs only m_1..m_{n-1}:
+    the coefficients of the powers of M are filled one antidiagonal
+    s + t = n at a time.  ``given`` holds m_1..m_k, or kappa_1..kappa_k
+    when ``to_moments``; the other sequence is returned.
+    """
+    k = len(given)
     if k > CUMULANT_CAP:
         raise CapExceededError(f"cumulant order {k} exceeds cap {CUMULANT_CAP}")
-    ks = [
-        c if isinstance(c, Scalar) else Scalar(c) for c in cumulants
-    ]
+    given = [c if isinstance(c, Scalar) else Scalar(c) for c in given]
     ms: List[Scalar] = [ONE]
+    ks: List[Scalar] = [ZERO]
+    powers = [[ONE] + [ZERO] * k]  # powers[s][t] = [z^t] M(z)^s
     for n in range(1, k + 1):
-        comps = _composition_sums(ms + [ZERO], n)
-        acc = ZERO
-        for s in range(1, n + 1):
-            if ks[s - 1] and comps[s][n - s]:
-                acc = acc + ks[s - 1] * comps[s][n - s]
-        ms.append(acc)
-    return ms[1:]
+        rest = ZERO
+        for s in range(1, n):
+            prev, t = powers[s - 1], n - s
+            acc = ZERO
+            for i in range(t + 1):
+                if ms[i] and prev[t - i]:
+                    acc = acc + ms[i] * prev[t - i]
+            powers[s].append(acc)
+            if ks[s] and acc:
+                rest = rest + ks[s] * acc
+        powers.append([ONE])
+        if to_moments:
+            ks.append(given[n - 1])
+            ms.append(given[n - 1] + rest)
+        else:
+            ms.append(given[n - 1])
+            ks.append(given[n - 1] - rest)
+    return (ms if to_moments else ks)[1:]
 
 
 # -- second oracle: the semicircular algebraic system ------------------------------

@@ -1,12 +1,15 @@
 """The benchmark harness wraps package attributes by name; pin them here."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import freemoments
 import freemoments.cli  # the tracer wraps cli attributes; the package does not import it
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKER = PERFBENCH / "worker.py"
 
 
 def test_tracer_installs_and_removes():
@@ -32,3 +35,20 @@ def test_tracer_installs_and_removes():
         tracer.remove()
     for (module, attr), original in zip(wrapped, originals):
         assert getattr(module, attr) is original, attr
+
+
+def test_clear_caches_empties_the_pairing_table():
+    # every timed pass starts cold, as a fresh CLI call does; the worker
+    # puts its own directory on sys.path to import its siblings
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+    finally:
+        sys.path[:] = path
+    p = freemoments.parse_polynomial("x1*x2 + x2*x1 + x1^2", 2)
+    freemoments.oracle.brute_moments(p, 6)
+    assert len(freemoments.oracle._pairing_table()) > 1
+    worker.clear_caches()
+    assert freemoments.oracle._pairing_table() == {(): 1}

@@ -19,6 +19,7 @@ from freemoments import (
     psemi_table,
     word_moment,
 )
+from freemoments.cli import main
 
 import properties
 
@@ -121,47 +122,61 @@ def test_brute_moment_cap_is_the_blowup():
         brute_moment(p, 10, expansion_cap=2**10 - 1)
 
 
-def test_pairing_cache_stays_bounded():
-    # 4^9 expanded words and their subwords would leave about 10^5 cached
-    # entries; brute_moment clears the cache once it passes the bound
+def _even_subword_count(n):
+    """How many contiguous even-length subwords a word of length n has,
+    itself included: at most that many new words one count can add."""
+    return sum(n - length + 1 for length in range(2, n + 1, 2))
+
+
+def test_pairing_cache_stays_bounded(monkeypatch):
+    # the necklace sum leaves 6,099 words in the table for this input; with
+    # a small bound the table is emptied before new words, values unchanged
     p = parse_polynomial("x1 + x2 + x3 + x1*x2", 3)
+    oracle._pairing_table.cache_clear()
     assert brute_moment(p, 9) == Scalar(11880)
-    size = oracle._consistent_pairing_count.cache_info().currsize
-    assert size <= oracle.PAIRING_CACHE_MAX == 1 << 16
+    assert len(oracle._pairing_table()) <= oracle.PAIRING_CACHE_MAX == 1 << 16
+    monkeypatch.setattr(oracle, "PAIRING_CACHE_MAX", 40)
+    oracle._pairing_table.cache_clear()
+    assert brute_moment(p, 9) == Scalar(11880)
+    # past the bound, only the last word's subwords are left beside ()
+    assert len(oracle._pairing_table()) <= 40 + 1 + _even_subword_count(18)
 
 
 def test_pairing_cache_bound_holds_after_every_order(monkeypatch):
-    # one brute_moments call covers every order, and clears the cache after
-    # any order that left it past the bound, as one brute_moment call does
+    # the counter checks the bound before every new word, inside an order as
+    # well as between orders, so one brute_moments call stays bounded too
     p = parse_polynomial("x1*x2 + x2*x1 + x1^2 - 1/2", 2)
-    oracle._consistent_pairing_count.cache_clear()
+    oracle._pairing_table.cache_clear()
     expected = oracle.brute_moments(p, 8)
     monkeypatch.setattr(oracle, "PAIRING_CACHE_MAX", 40)
-    size = lambda: oracle._consistent_pairing_count.cache_info().currsize
-    starts, ends = [], []
-    power_sum = oracle._power_sum
+    count = oracle._pairing_count
+    calls = []
 
-    def recorded(*args):
-        starts.append(size())
-        result = power_sum(*args)
-        ends.append(size())
+    def recorded(word, known):
+        before = len(known)
+        new = word not in known
+        result = count(word, known)
+        calls.append((word, before, new, len(known)))
         return result
 
-    monkeypatch.setattr(oracle, "_power_sum", recorded)
-    oracle._consistent_pairing_count.cache_clear()
+    monkeypatch.setattr(oracle, "_pairing_count", recorded)
+    oracle._pairing_table.cache_clear()
     assert oracle.brute_moments(p, 8) == expected
-    assert size() <= 40
-    assert max(starts) <= 40 < max(ends)
+    emptied = [(w, after) for w, before, new, after in calls if new and before > 40]
+    assert emptied  # the bound was reached, and the table emptied
+    for word, after in emptied:
+        assert after <= 1 + _even_subword_count(len(word)), word
+    assert max(after for *_, after in calls) <= 40 + 1 + _even_subword_count(16)
 
 
 def test_pairing_cache_misses_one_per_rotation_class():
     # summing over rotation classes counts far fewer words than one per word
     # of (lam*p)^m, as the square-and-multiply expansion did (6485 misses)
     p = parse_polynomial("x1^2 - x2^2 + x3", 3)
-    oracle._consistent_pairing_count.cache_clear()
+    oracle._pairing_table.cache_clear()
     for m in range(1, 9):
         brute_moment(p, m)
-    assert oracle._consistent_pairing_count.cache_info().misses <= 6485 // 4
+    assert len(oracle._pairing_table()) <= 6485 // 4
 
 
 def test_necklaces_one_per_rotation_class():
@@ -191,19 +206,41 @@ def test_necklaces_one_per_rotation_class():
 
 
 def test_brute_moment_cold_long_word(monkeypatch):
-    # one 1500-letter word: the cached recursion would nest 750 calls deep
-    oracle._consistent_pairing_count.cache_clear()
+    # one 1500-letter word: a recursive count would nest 750 calls deep
+    oracle._pairing_table.cache_clear()
     assert brute_moment(parse_polynomial("x1", 1), 1500) == Scalar(catalan(750))
-    # the explicit-stack count agrees with the recursion on short words
+    # the count agrees with the letter-consistent non-crossing pairings
     rng = random.Random(120)
     for _ in range(300):
         word = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 4, 6, 8, 10, 12))))
-        assert oracle._deep_pairing_count(word) == oracle._consistent_pairing_count(word), word
+        expected = sum(
+            all(word[a - 1] == word[b - 1] for a, b in pairing)
+            for pairing in enumerate_nc_pairings(len(word) // 2)
+        )
+        assert oracle._pairing_count(word, {(): 1}) == expected, word
     # a word whose subwords would fill the table past its cap is refused
     monkeypatch.setattr(oracle, "PAIRING_STACK_CAP", 1000)
     with pytest.raises(CapExceededError, match="word of length 200 "):
-        oracle._deep_pairing_count((1,) * 200)
-    assert oracle._deep_pairing_count((1,) * 60) == catalan(30)
+        oracle._pairing_count((1,) * 200, {(): 1})
+    assert oracle._pairing_count((1,) * 60, {(): 1}) == catalan(30)
+
+
+def test_short_word_past_the_stack_cap_is_refused(monkeypatch, capsys):
+    # the cap holds for every word counted, not only one too deep to recurse
+    # on: a short random word, counted on a cold table, past a low cap
+    rng = random.Random(5)
+    word = tuple(rng.randint(1, 2) for _ in range(40))
+    monkeypatch.setattr(oracle, "PAIRING_STACK_CAP", 200)
+    oracle._pairing_table.cache_clear()
+    with pytest.raises(CapExceededError, match="word of length 40 "):
+        oracle._pairing_count(word, oracle._pairing_table())
+    oracle._pairing_table.cache_clear()
+    with pytest.raises(CapExceededError, match="word of length 40 "):
+        word_moment(word, max_length=40)
+    oracle._pairing_table.cache_clear()
+    text = "*".join(f"x{x}" for x in word)
+    assert main(["verify", "--poly", text, "--n-vars", "2", "--max-order", "1"]) == 4
+    assert "word of length 40 " in capsys.readouterr().err
 
 
 def test_free_cumulants_examples():
