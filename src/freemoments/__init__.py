@@ -19,6 +19,7 @@ from .errors import (
     CapExceededError,
     FreeMomentsError,
     InvalidPolynomialError,
+    PairingCapExceededError,
     ParseCapExceededError,
     PolyParseError,
     UsageError,
@@ -81,6 +82,7 @@ __all__ = [
     "LinearRepresentation",
     "MomentVector",
     "NCPolynomial",
+    "PairingCapExceededError",
     "ParseCapExceededError",
     "PolyParseError",
     "Scalar",

@@ -22,8 +22,8 @@ formatted); ``moments --decimal`` adds a floating approximation alongside
 (never instead).  Exit codes: 0 success, 1 verify mismatch, 2 parse or
 usage error (an option the subcommand does not take included, reported
 with that subcommand's usage), 3 internal error,
-4 size cap exceeded (the oracle's expansion cap or the parser's fixed
-limits), 5 out of memory (the message names the subcommand and its
+4 size cap exceeded (the oracle's expansion cap, the oracle's fixed
+pairing limits or the parser's fixed limits), 5 out of memory (the message names the subcommand and its
 ``--max-order``, or ``--sweep`` for ``bench``), 130 interrupted (Ctrl-C).
 """
 
@@ -40,7 +40,13 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import MAX_ORDER, moments
-from .errors import CapExceededError, ParseCapExceededError, PolyParseError, UsageError
+from .errors import (
+    CapExceededError,
+    PairingCapExceededError,
+    ParseCapExceededError,
+    PolyParseError,
+    UsageError,
+)
 from .ncpoly import NCPolynomial, infer_variable_count, parse_polynomial
 from .oracle import (
     CUMULANT_CAP,
@@ -457,6 +463,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARSE
     except ParseCapExceededError as exc:
         print(f"error: {exc}\nhint: these parser limits are fixed; write a smaller expression", file=sys.stderr)
+        return EXIT_CAP
+    except PairingCapExceededError as exc:
+        print(
+            f"error: {exc}\nhint: the oracle's pairing limits are fixed; "
+            f"no --max-order or --expansion-cap lifts them",
+            file=sys.stderr,
+        )
         return EXIT_CAP
     except CapExceededError as exc:
         print(

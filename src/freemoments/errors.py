@@ -33,3 +33,9 @@ class CapExceededError(FreeMomentsError, RuntimeError):
 class ParseCapExceededError(CapExceededError):
     """Polynomial text whose products or powers would expand past the
     parser's fixed limits; no option raises them."""
+
+
+class PairingCapExceededError(CapExceededError):
+    """A word the oracle's pairing counter refuses at its fixed limits (the
+    letters of subwords one count adds, the distinct letters it can code);
+    no option raises them."""

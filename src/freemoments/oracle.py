@@ -15,15 +15,21 @@ deliberately exponential:
   under rotation (Nica-Speicher, Lectures on the Combinatorics of Free
   Probability, 2006, Lect. 8 and 22), so the sequences are split into
   blocks (lam*q)^a and each rotation class of blocks, a necklace, is
-  counted once, weighted by its number of rotations.  ``brute_moments``
-  returns every order up to M from one call, which shares the blocks and
-  the sums of q's powers across the orders;
+  counted once, weighted by its number of rotations.  A necklace whose
+  word has a letter of odd multiplicity has count 0 and is dropped before
+  its word is joined.  ``brute_moments`` returns every order up to M from
+  one call, which shares the blocks and the sums of q's powers across the
+  orders;
+* inside the oracle a word is a ``str`` of dense letter codes: the letters
+  that occur become chr(1), chr(2), ... (``_letter_codes``), which leaves
+  tau unchanged, so the blocks, the joined words and the table's keys slice
+  and hash in C;
 * one counter, ``_pairing_count``, runs the pairing recursion from an
   explicit stack over one table of counts (``_pairing_table``) shared
   across orders and calls.  It empties the table before a new word once
   the table holds more than ``PAIRING_CACHE_MAX`` words, and refuses a
   word whose subwords pass ``PAIRING_STACK_CAP`` letters with
-  ``CapExceededError``;
+  ``PairingCapExceededError``, a ``CapExceededError`` that no option lifts;
 * the moment <-> free-cumulant conversion is one first-block recursion,
   run forwards or backwards;
 * a second oracle iterates the one-equation algebraic system
@@ -34,12 +40,13 @@ deliberately exponential:
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import xor
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import CapExceededError
+from .errors import CapExceededError, PairingCapExceededError
 from .ncpoly import NCPolynomial, Word
 from .scalar import ONE, ZERO, Scalar, from_ints
 
@@ -52,6 +59,7 @@ PSEMI_CAP = 12
 DEFAULT_EXPANSION_CAP = 10**6
 PAIRING_CACHE_MAX = 1 << 16  # words; the table is emptied past this before a new word
 PAIRING_STACK_CAP = 1 << 22  # letters of subwords one word's count may add to the table
+LETTER_CODE_CAP = sys.maxunicode  # distinct letters: the codes chr(1)..chr(sys.maxunicode)
 # A necklace costs about two counted words: besides its pairing count, the
 # FKM step, joining its blocks and multiplying their coefficients take about
 # as long again (measured on the verify corpus and on one-letter inputs).
@@ -90,30 +98,48 @@ def _pairings(lo: int, hi: int):
 
 
 @lru_cache(maxsize=1)
-def _pairing_table() -> Dict[Word, int]:
+def _pairing_table() -> Dict[str, int]:
     """The pairing counts of the words and subwords counted so far.
 
-    One table, shared across orders and calls; ``cache_clear()`` empties it.
+    Words are strings of dense letter codes (``_letter_codes``).  One table,
+    shared across orders and calls; ``cache_clear()`` empties it.
     """
-    return {(): 1}
+    return {"": 1}
 
 
-def _pairing_count(word: Word, known: Dict[Word, int]) -> int:
+def _letter_codes(letters) -> Dict[int, str]:
+    """chr(1), chr(2), ... for the distinct ``letters``, in increasing order.
+
+    tau does not change when letters are relabelled, so the oracle counts
+    words as strings of these codes, whose slices and hashes run in C.  More
+    distinct letters than ``chr`` can code are refused with
+    ``PairingCapExceededError``.
+    """
+    if len(letters) > LETTER_CODE_CAP:
+        raise PairingCapExceededError(
+            f"{len(letters)} distinct letters, more than the {LETTER_CODE_CAP} "
+            f"the pairing counter can code"
+        )
+    return {x: chr(i) for i, x in enumerate(sorted(letters), 1)}
+
+
+def _pairing_count(word: str, known: Dict[str, int]) -> int:
     """Non-crossing pairings of positions of ``word`` matching equal letters.
 
-    ``word`` is one that ``known`` does not hold yet; callers look it up
-    first.  The first position pairs with a matching letter at odd
-    distance; the interior and exterior segments are independent.  The
-    recursion runs from an explicit stack, so a word of any length counts
-    without ``RecursionError``: a frame whose next subword is not in
-    ``known`` yet is set aside until it is.  Every subword's count goes into
-    ``known``.  Beforehand ``known`` is emptied if it holds more than
-    ``PAIRING_CACHE_MAX`` words; a word whose subwords add more than
-    ``PAIRING_STACK_CAP`` letters to it is refused with ``CapExceededError``.
+    ``word`` is a string of letter codes that ``known`` does not hold yet;
+    callers look it up first.  The first position pairs with a matching
+    letter at odd distance; the interior and exterior segments are
+    independent.  The recursion runs from an explicit stack, so a word of
+    any length counts without ``RecursionError``: a frame whose next subword
+    is not in ``known`` yet is set aside until it is.  Every subword's count
+    goes into ``known``.  Beforehand ``known`` is emptied if it holds more
+    than ``PAIRING_CACHE_MAX`` words; a word whose subwords add more than
+    ``PAIRING_STACK_CAP`` letters to it is refused with
+    ``PairingCapExceededError``.
     """
     if len(known) > PAIRING_CACHE_MAX:
         known.clear()
-        known[()] = 1
+        known[""] = 1
     get = known.get
     held = 0
     stack = []  # frames set aside: word, next position to pair with its first, sum
@@ -136,7 +162,7 @@ def _pairing_count(word: Word, known: Dict[Word, int]) -> int:
             known[w] = total
             held += len(w)
             if held > PAIRING_STACK_CAP:
-                raise CapExceededError(
+                raise PairingCapExceededError(
                     f"counting the pairings of a word of length {len(word)} "
                     f"needs more than {PAIRING_STACK_CAP} letters of subwords"
                 )
@@ -154,8 +180,9 @@ def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
     Zero for odd lengths, one for the empty word.  ``max_length`` guards
     against accidental huge inputs; callers that genuinely need longer words
     (the naive-expansion demo) may raise it.  The count comes from
-    ``_pairing_count`` on the shared table, so it can also be refused with
-    ``CapExceededError`` (see ``PAIRING_STACK_CAP``).
+    ``_pairing_count`` on the shared table, the letters coded as a string
+    (``_letter_codes``), so it can also be refused with
+    ``PairingCapExceededError`` (see ``PAIRING_STACK_CAP``).
     """
     word = tuple(word)
     if len(word) > max_length:
@@ -169,6 +196,8 @@ def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
         counts[letter] = counts.get(letter, 0) + 1
     if any(c % 2 for c in counts.values()):
         return ZERO
+    code = _letter_codes(counts)
+    word = "".join(map(code.__getitem__, word))
     known = _pairing_table()
     count = known.get(word)
     return Scalar(_pairing_count(word, known) if count is None else count)
@@ -229,11 +258,13 @@ def brute_moment(
     j <= m with tau((lam*q)^j) != 0, and only q's t terms are expanded:
     t^j sequences, not (t+1)^m.  With no constant only j = m is summed.
     For each j the blocks D_a = (lam*q)^a, up to a = ceil(j/2), are maps
-    from word to ``int``, or to an ``(re, im)`` pair of ``int``s when a
-    coefficient is not real.  tau is a trace, so a cyclic rotation of a
-    sequence of blocks has the same moment, and (lam*q)^j = D_a^(j/a) is
-    summed over necklaces (rotation classes) of j/a blocks: each
-    necklace's word is counted once, weighted by its number of rotations.
+    from word, a string of dense letter codes (``_letter_codes``), to
+    ``int``, or to an ``(re, im)`` pair of ``int``s when a coefficient is
+    not real.  tau is a trace, so a cyclic rotation of a sequence of blocks
+    has the same moment, and (lam*q)^j = D_a^(j/a) is summed over necklaces
+    (rotation classes) of j/a blocks: each necklace's word is counted once,
+    weighted by its number of rotations, and a necklace with a letter of
+    odd multiplicity is dropped before its word is joined.
     The plan (``_block_length``) picks the a that costs the least; a = j
     counts the words of D_j one by one.  The integer sum is divided by
     lam^m once at the end.
@@ -252,13 +283,14 @@ def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
         return [ZERO] * len(orders)
     lam, terms = p.integer_terms()
     gaussian = any(im for _, _, im in terms)
+    code = _letter_codes({x for w, _, _ in terms for x in w})
     if gaussian:
-        mul, product = _mul_gaussian, _gaussian_product
-        base = {w: (re, im) for w, re, im in terms}
+        mul, times, one = _mul_gaussian, _gaussian_times, (1, 0)
+        base = {"".join(map(code.__getitem__, w)): (re, im) for w, re, im in terms}
     else:
-        mul, product = _mul_int, math.prod
-        base = {w: re for w, re, _ in terms}
-    constant = base.pop((), None)  # lam*c
+        mul, times, one = _mul_int, operator.mul, 1
+        base = {"".join(map(code.__getitem__, w)): re for w, re, _ in terms}
+    constant = base.pop("", None)  # lam*c
     if constant is None:
         c_re = c_im = 0
     elif gaussian:
@@ -270,9 +302,9 @@ def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
     # without a constant only the orders asked for are summed
     sums = {0: (1, 0)}
     if base:
-        blocks = [{(): product(())}, base]
+        blocks = [{"": one}, base]
         for j in orders if constant is None else range(1, top + 1):
-            re, im = _power_sum(blocks, j, mul, product, gaussian)
+            re, im = _power_sum(blocks, j, mul, times, gaussian)
             if re or im:
                 sums[j] = (re, im)
     powers = [(1, 0)]  # (lam*c)^k
@@ -292,7 +324,7 @@ def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
     return values
 
 
-def _power_sum(blocks: List[Dict[Word, object]], m: int, mul, product, gaussian):
+def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
     """tau((lam*q)^m) times lam^m, as an ``(re, im)`` pair of ``int``s.
 
     ``blocks`` holds the blocks (lam*q)^0, (lam*q)^1 and whatever powers
@@ -301,9 +333,9 @@ def _power_sum(blocks: List[Dict[Word, object]], m: int, mul, product, gaussian)
     a = _block_length(m, blocks, mul)
     if a == m:
         power = mul(blocks[m // 2], blocks[(m + 1) // 2])
-        counted = _counted_necklaces(power, 1, product)
+        counted = _counted_necklaces(power, 1, times)
     else:
-        counted = _counted_necklaces(blocks[a], m // a, product)
+        counted = _counted_necklaces(blocks[a], m // a, times)
     if gaussian:
         re = im = 0
         for k, (c_re, c_im) in counted:
@@ -313,7 +345,7 @@ def _power_sum(blocks: List[Dict[Word, object]], m: int, mul, product, gaussian)
     return sum(k * c for k, c in counted), 0
 
 
-def _block_length(m: int, blocks: List[Dict[Word, object]], mul) -> int:
+def _block_length(m: int, blocks: List[Dict[str, object]], mul) -> int:
     """The block length a whose sum for the m-th power costs the least.
 
     ``blocks`` holds (lam*q)^0, (lam*q)^1 and any powers an earlier order
@@ -354,60 +386,81 @@ def _block_length(m: int, blocks: List[Dict[Word, object]], mul) -> int:
     return best_a
 
 
-def _necklace_words(words: List[Word], odd: List[int], n: int):
-    """Each necklace of n blocks from ``words`` once, as ``(seq, period,
-    odd_letters, word)``.
+def _necklace_words(words: List[str], odd: List[int], coeffs: list, n: int, times):
+    """Each necklace of n blocks from ``words`` whose word can count, once,
+    as ``(seq, period, word, coefficient)``.
 
     ``seq`` holds the blocks' indices, the least of its rotations (the list
     is reused); ``period`` is its smallest period, the number of its distinct
     rotations; ``word`` joins the blocks of its first period, and
-    ``odd_letters`` is the XOR of their ``odd`` bits.
+    ``coefficient`` multiplies their ``coeffs`` by ``times``.  A necklace
+    whose word has a letter of odd multiplicity, seen from the XOR of its
+    blocks' ``odd`` bits over an odd number of periods, is skipped before
+    its word is joined.
 
     The FKM algorithm (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
     J. Algorithms 13, 1992) lists them without recursion, since a one-block
     ``words`` can come with n in the thousands: each step bumps the last
     index below the top and repeats the prefix up to it, which gives the
     prenecklaces in lexicographic order; one whose prefix length divides n
-    is a necklace, with that length as its period.  A step rewrites the
-    prefix parities and joined words only from the position it bumped.
+    is a necklace, with that length as its period.  The prefix parities,
+    and for a necklace that passes them the joined words and coefficient
+    products, are folded lazily from the first position a step changed.
     """
     seq = [0] * n
-    yield seq, 1, odd[0], words[0]
+    if not (n & 1 and odd[0]):
+        yield seq, 1, words[0], coeffs[0]
     top = len(words) - 1
     if not top:
         return
-    parity = [0] * (n + 1)  # parity[j], prefix[j]: of the first j blocks
-    prefix: List[Word] = [()] * (n + 1)
-    for j in range(n):
-        parity[j + 1] = parity[j] ^ odd[0]
-        prefix[j + 1] = prefix[j] + words[0]
+    # repeats[p]: n // p for a period p of n, else 0.  parity[j], joined[j]
+    # and coefficient[j] fold the first j blocks; they hold for j <= checked
+    # and j <= built
+    repeats = [0] + [0 if n % p else n // p for p in range(1, n + 1)]
+    parity = [0] * (n + 1)
+    joined = [""] * (n + 1)
+    coefficient = [None] * (n + 1)
+    checked = built = 0
     while True:
         i = n - 1
-        while i >= 0 and seq[i] == top:
+        while seq[i] == top:
             i -= 1
-        if i < 0:
-            return
+            if i < 0:
+                return
         seq[i] += 1
         period = i + 1
-        for j in range(i, n):
-            if j >= period:
-                seq[j] = seq[j - period]
-            x = seq[j]
-            parity[j + 1] = parity[j] ^ odd[x]
-            prefix[j + 1] = prefix[j] + words[x]
-        if n % period == 0:
-            yield seq, period, parity[period], prefix[period]
+        for j in range(period, n):
+            seq[j] = seq[j - period]
+        if checked > i:
+            checked = i
+        if built > i:
+            built = i
+        r = repeats[period]
+        if not r:
+            continue
+        if r & 1:
+            while checked < period:
+                parity[checked + 1] = parity[checked] ^ odd[seq[checked]]
+                checked += 1
+            if parity[period]:
+                continue
+        while built < period:
+            x = seq[built]
+            joined[built + 1] = joined[built] + words[x]
+            coefficient[built + 1] = times(coefficient[built], coeffs[x]) if built else coeffs[x]
+            built += 1
+        yield seq, period, joined[period], coefficient[period]
 
 
-def _counted_necklaces(block: Dict[Word, object], r: int, product):
+def _counted_necklaces(block: Dict[str, object], r: int, times):
     """(rotations * pairing count, coefficient) for each necklace of r blocks.
 
     Over the sequences of r words of ``block``, one per rotation class whose
     concatenated word has a nonzero pairing count, which is tau(w) itself.
-    ``product`` multiplies the blocks' coefficients.  With r = 1 every word
+    ``times`` multiplies two coefficients.  With r = 1 every word
     of ``block`` is its own necklace, and the count is 0 for a word with a
-    letter of odd multiplicity; with r > 1 such a word is skipped
-    before it is counted.
+    letter of odd multiplicity; with r > 1 such a word is skipped before it
+    is joined (``_necklace_words``).
     """
     known = _pairing_table()
     get = known.get
@@ -424,34 +477,29 @@ def _counted_necklaces(block: Dict[Word, object], r: int, product):
     words = list(block)
     if r & 1 and all(len(word) & 1 for word in words):
         return  # every word joins an odd number of odd-length blocks
-    coeffs = list(block.values())
     # each block's letters of odd multiplicity, as bits: a word whose blocks
     # do not cancel them all has an odd letter and count 0
     bit = {x: 1 << i for i, x in enumerate(set(chain.from_iterable(words)))}
-    odd = [reduce(xor, map(bit.__getitem__, word), 0) for word in words]
-    for seq, period, odd_letters, word in _necklace_words(words, odd, r):
+    odd = [reduce(operator.xor, map(bit.__getitem__, word), 0) for word in words]
+    for _, period, word, c in _necklace_words(words, odd, list(block.values()), r, times):
         repeats = r // period  # a necklace is its first period, repeated
-        if repeats & 1 and odd_letters:
-            continue
-        word *= repeats
+        if repeats > 1:
+            word *= repeats
         k = get(word)
         if k is None:
             k = _pairing_count(word, known)
         if k:
-            yield period * k, product(map(coeffs.__getitem__, seq))
+            yield period * k, c if repeats == 1 else reduce(times, [c] * repeats)
 
 
-def _gaussian_product(factors) -> Tuple[int, int]:
-    """Product of Gaussian integers given as ``(re, im)`` pairs."""
-    re, im = 1, 0
-    for a, b in factors:
-        re, im = re * a - im * b, re * b + im * a
-    return re, im
+def _gaussian_times(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    """Product of two Gaussian integers given as ``(re, im)`` pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _mul_int(a: Dict[Word, int], b: Dict[Word, int]) -> Dict[Word, int]:
+def _mul_int(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:
     """Product of two integer polynomials as word -> int maps."""
-    out: Dict[Word, int] = {}
+    out: Dict[str, int] = {}
     get = out.get
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -461,10 +509,10 @@ def _mul_int(a: Dict[Word, int], b: Dict[Word, int]) -> Dict[Word, int]:
 
 
 def _mul_gaussian(
-    a: Dict[Word, Tuple[int, int]], b: Dict[Word, Tuple[int, int]]
-) -> Dict[Word, Tuple[int, int]]:
+    a: Dict[str, Tuple[int, int]], b: Dict[str, Tuple[int, int]]
+) -> Dict[str, Tuple[int, int]]:
     """Product of two Gaussian-integer polynomials, coefficients (re, im)."""
-    out: Dict[Word, Tuple[int, int]] = {}
+    out: Dict[str, Tuple[int, int]] = {}
     get = out.get
     for wa, (ar, ai) in a.items():
         for wb, (br, bi) in b.items():

@@ -454,6 +454,32 @@ def test_verify_cap_exit_4(capsys):
     )
     assert code == 4
     assert "expansion" in err
+    assert err.splitlines()[-1] == (
+        "hint: lower --max-order or raise --expansion-cap (or FREEMOMENTS_EXPANSION_CAP)"
+    )
+
+
+def test_pairing_cap_refusal_names_its_own_hint(capsys, monkeypatch):
+    # the pairing counter's limit is fixed: no order or expansion cap lifts
+    # it, so its hint names neither, and the exit code stays 4
+    import random
+
+    from freemoments import oracle
+
+    rng = random.Random(5)
+    text = "*".join(f"x{rng.randint(1, 2)}" for _ in range(40))
+    monkeypatch.setattr(oracle, "PAIRING_STACK_CAP", 200)
+    oracle._pairing_table.cache_clear()
+    code, _, err = run(
+        capsys, "verify", "--poly", text, "--n-vars", "2", "--max-order", "1",
+        "--expansion-cap", str(10**9),
+    )
+    oracle._pairing_table.cache_clear()
+    assert code == 4
+    assert "word of length 40 " in err
+    assert err.splitlines()[-1] == (
+        "hint: the oracle's pairing limits are fixed; no --max-order or --expansion-cap lifts them"
+    )
 
 
 def test_expansion_cap_env(capsys, monkeypatch):

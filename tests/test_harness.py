@@ -51,4 +51,4 @@ def test_clear_caches_empties_the_pairing_table():
     freemoments.oracle.brute_moments(p, 6)
     assert len(freemoments.oracle._pairing_table()) > 1
     worker.clear_caches()
-    assert freemoments.oracle._pairing_table() == {(): 1}
+    assert freemoments.oracle._pairing_table() == {"": 1}

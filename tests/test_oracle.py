@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,11 +9,13 @@ import pytest
 from freemoments import (
     CapExceededError,
     NCPolynomial,
+    PairingCapExceededError,
     Scalar,
     brute_moment,
     catalan,
     enumerate_nc_pairings,
     free_cumulants,
+    moments,
     moments_from_cumulants,
     oracle,
     parse_polynomial,
@@ -180,29 +184,30 @@ def test_pairing_cache_misses_one_per_rotation_class():
 
 
 def test_necklaces_one_per_rotation_class():
+    # one-letter blocks, so a necklace's word spells its sequence; only the
+    # necklaces whose word has every letter an even number of times come out
+    primes = [2, 3, 5]
     for n in range(1, 9):
         for k in range(1, 4):
-            # one-letter blocks, so a necklace's word spells its sequence
-            words = [(x,) for x in range(k)]
+            words = [chr(x + 1) for x in range(k)]
             odd = [1 << x for x in range(k)]
             seen = set()
             total = 0
-            for seq, period, odd_letters, word in oracle._necklace_words(words, odd, n):
+            for seq, period, word, c in oracle._necklace_words(words, odd, primes[:k], n, operator.mul):
                 seq = tuple(seq)
                 rotations = {seq[i:] + seq[:i] for i in range(n)}
                 assert seq == min(rotations) and len(rotations) == period
-                assert word == seq[:period] and seq == word * (n // period)
-                parity = 0
-                for x in word:
-                    parity ^= odd[x]
-                assert odd_letters == parity
+                assert word == "".join(words[x] for x in seq[:period])
+                assert c == math.prod(primes[x] for x in seq[:period])
                 assert seq not in seen
                 seen.add(seq)
                 total += period
-            assert total == k**n, (n, k)
-            # (1/n) sum over d | n of phi(d) k^(n/d) necklaces
-            phi = [sum(math.gcd(d, j) == 1 for j in range(1, d + 1)) for d in range(n + 1)]
-            assert len(seen) * n == sum(phi[d] * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            even = [
+                seq for seq in itertools.product(range(k), repeat=n)
+                if all(seq.count(x) % 2 == 0 for x in range(k))
+            ]
+            assert total == len(even), (n, k)
+            assert seen == {min(seq[i:] + seq[:i] for i in range(n)) for seq in even}, (n, k)
 
 
 def test_brute_moment_cold_long_word(monkeypatch):
@@ -212,17 +217,17 @@ def test_brute_moment_cold_long_word(monkeypatch):
     # the count agrees with the letter-consistent non-crossing pairings
     rng = random.Random(120)
     for _ in range(300):
-        word = tuple(rng.randint(1, 3) for _ in range(rng.choice((2, 4, 6, 8, 10, 12))))
+        word = "".join(rng.choice("abc") for _ in range(rng.choice((2, 4, 6, 8, 10, 12))))
         expected = sum(
             all(word[a - 1] == word[b - 1] for a, b in pairing)
             for pairing in enumerate_nc_pairings(len(word) // 2)
         )
-        assert oracle._pairing_count(word, {(): 1}) == expected, word
+        assert oracle._pairing_count(word, {"": 1}) == expected, word
     # a word whose subwords would fill the table past its cap is refused
     monkeypatch.setattr(oracle, "PAIRING_STACK_CAP", 1000)
-    with pytest.raises(CapExceededError, match="word of length 200 "):
-        oracle._pairing_count((1,) * 200, {(): 1})
-    assert oracle._pairing_count((1,) * 60, {(): 1}) == catalan(30)
+    with pytest.raises(PairingCapExceededError, match="word of length 200 "):
+        oracle._pairing_count("a" * 200, {"": 1})
+    assert oracle._pairing_count("a" * 60, {"": 1}) == catalan(30)
 
 
 def test_short_word_past_the_stack_cap_is_refused(monkeypatch, capsys):
@@ -232,15 +237,59 @@ def test_short_word_past_the_stack_cap_is_refused(monkeypatch, capsys):
     word = tuple(rng.randint(1, 2) for _ in range(40))
     monkeypatch.setattr(oracle, "PAIRING_STACK_CAP", 200)
     oracle._pairing_table.cache_clear()
-    with pytest.raises(CapExceededError, match="word of length 40 "):
-        oracle._pairing_count(word, oracle._pairing_table())
+    with pytest.raises(PairingCapExceededError, match="word of length 40 "):
+        oracle._pairing_count("".join(map(chr, word)), oracle._pairing_table())
     oracle._pairing_table.cache_clear()
-    with pytest.raises(CapExceededError, match="word of length 40 "):
+    with pytest.raises(PairingCapExceededError, match="word of length 40 "):
         word_moment(word, max_length=40)
     oracle._pairing_table.cache_clear()
     text = "*".join(f"x{x}" for x in word)
     assert main(["verify", "--poly", text, "--n-vars", "2", "--max-order", "1"]) == 4
     assert "word of length 40 " in capsys.readouterr().err
+
+
+def test_more_letters_than_codes_are_refused(monkeypatch):
+    # one code per distinct letter, chr(1)..chr(sys.maxunicode): past that
+    # the oracle refuses the input at a limit no option lifts
+    monkeypatch.setattr(oracle, "LETTER_CODE_CAP", 2)
+    with pytest.raises(PairingCapExceededError, match="3 distinct letters"):
+        oracle.brute_moments(parse_polynomial("x1 + x2 + x3", 3), 2)
+    with pytest.raises(PairingCapExceededError, match="3 distinct letters"):
+        word_moment((1, 2, 3, 3, 2, 1))
+    assert oracle.brute_moments(parse_polynomial("x1 + x2", 2), 2) == [Scalar(0), Scalar(2)]
+
+
+def test_values_on_letters_far_apart():
+    # letters above 255 and past chr's range, with Gaussian coefficients: at
+    # every order whose expansion has at most 10^4 term sequences, the
+    # oracle equals the engine and the plain expansion
+    cases = [
+        ("x300*x70000 + x70000*x300", 70000),
+        ("x2000000*x1*x2000000*x1 + x1*x2000000^2*x1", 2000000),
+        ("(1+2*i)*x300*x70000 - 3/2*i*x70000*x300 + 1/3*x2000000^2 + 2", 2000000),
+    ]
+    for text, n_vars in cases:
+        p = parse_polynomial(text, n_vars)
+        order = 1
+        while p.n_terms ** (order + 1) <= 10**4:
+            order += 1
+        values = oracle.brute_moments(p, order)
+        assert values == list(moments(p, order).values), text
+        for m, value in enumerate(values, start=1):
+            assert value == properties._expanded_moment(p, m), (text, m)
+    # word_moment on such letters against the letter-consistent pairings
+    rng = random.Random(26)
+    letters = (1, 300, 70000, 2000000)
+    words = [(2000000, 1, 2000000, 1), (300, 70000, 70000, 300)] + [
+        tuple(rng.choice(letters) for _ in range(rng.choice((2, 4, 6, 8, 10, 12))))
+        for _ in range(200)
+    ]
+    for word in words:
+        expected = sum(
+            all(word[a - 1] == word[b - 1] for a, b in pairing)
+            for pairing in enumerate_nc_pairings(len(word) // 2)
+        )
+        assert word_moment(word) == Scalar(expected), word
 
 
 def test_free_cumulants_examples():
