@@ -23,8 +23,9 @@ formatted); ``moments --decimal`` adds a floating approximation alongside
 usage error (an option the subcommand does not take included, reported
 with that subcommand's usage), 3 internal error,
 4 size cap exceeded (the oracle's expansion cap, the oracle's fixed
-pairing limits or the parser's fixed limits), 5 out of memory (the message names the subcommand and its
-``--max-order``, or ``--sweep`` for ``bench``), 130 interrupted (Ctrl-C).
+pairing limits or the parser's fixed limits), 5 out of memory (the
+message names the subcommand and its ``--max-order``, or ``--sweep`` for
+``bench``), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations

@@ -193,7 +193,8 @@ def test_necklaces_one_per_rotation_class():
             odd = [1 << x for x in range(k)]
             seen = set()
             total = 0
-            for seq, period, word, c in oracle._necklace_words(words, odd, primes[:k], n, operator.mul):
+            necklaces = oracle._necklace_words(words, odd, primes[:k], n, operator.mul)
+            for seq, period, word, c in necklaces:
                 seq = tuple(seq)
                 rotations = {seq[i:] + seq[:i] for i in range(n)}
                 assert seq == min(rotations) and len(rotations) == period
