@@ -457,8 +457,8 @@ def _counted_necklaces(block: Dict[str, object], r: int, times):
 
     Over the sequences of r words of ``block``, one per rotation class whose
     concatenated word has a nonzero pairing count, which is tau(w) itself.
-    ``times`` multiplies two coefficients.  With r = 1 every word
-    of ``block`` is its own necklace, and the count is 0 for a word with a
+    ``times`` multiplies two coefficients.  With r = 1 every word of
+    ``block`` is its own necklace, and the count is 0 for a word with a
     letter of odd multiplicity; with r > 1 such a word is skipped before it
     is joined (``_necklace_words``).
     """
