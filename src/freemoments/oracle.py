@@ -15,11 +15,11 @@ deliberately exponential:
   under rotation (Nica-Speicher, Lectures on the Combinatorics of Free
   Probability, 2006, Lect. 8 and 22), so the sequences are split into
   blocks (lam*q)^a and each rotation class of blocks, a necklace, is
-  counted once, weighted by its number of rotations.  A necklace whose
-  word has a letter of odd multiplicity has count 0 and is dropped before
-  its word is joined.  ``brute_moments`` returns every order up to M from
-  one call, which shares the blocks and the sums of q's powers across the
-  orders;
+  counted once, weighted by its number of rotations, in one walk per order
+  that counts in place.  A necklace whose word has a letter of odd
+  multiplicity has count 0; the walk joins no word for it.
+  ``brute_moments`` returns every order up to M from one call, which shares
+  the blocks and the sums of q's powers across the orders;
 * inside the oracle a word is a ``str`` of dense letter codes: the letters
   that occur become chr(1), chr(2), ... (``_letter_codes``), which leaves
   tau unchanged, so the blocks, the joined words and the table's keys slice
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
@@ -263,8 +264,8 @@ def brute_moment(
     not real.  tau is a trace, so a cyclic rotation of a sequence of blocks
     has the same moment, and (lam*q)^j = D_a^(j/a) is summed over necklaces
     (rotation classes) of j/a blocks: each necklace's word is counted once,
-    weighted by its number of rotations, and a necklace with a letter of
-    odd multiplicity is dropped before its word is joined.
+    weighted by its number of rotations, and no word is joined for a
+    necklace with a letter of odd multiplicity.
     The plan (``_block_length``) picks the a that costs the least; a = j
     counts the words of D_j one by one.  The integer sum is divided by
     lam^m once at the end.
@@ -328,21 +329,118 @@ def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
     """tau((lam*q)^m) times lam^m, as an ``(re, im)`` pair of ``int``s.
 
     ``blocks`` holds the blocks (lam*q)^0, (lam*q)^1 and whatever powers
-    earlier orders built; ``_block_length`` extends it as this order needs.
+    earlier orders built; ``_block_length`` extends it and picks the block
+    length a.  One loop looks up each word that can count in the shared
+    table, counts it with ``_pairing_count`` if it is missing, and adds its
+    count times its coefficient and its number of rotations in place.  With
+    a = m the words are the even-length words of (lam*q)^m.  Otherwise they
+    are the necklaces of n = m/a blocks of (lam*q)^a whose word has no
+    letter of odd multiplicity: each necklace's least rotation, joined over
+    its smallest period and repeated, weighted by that period.
+
+    The FKM algorithm (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
+    J. Algorithms 13, 1992) walks the necklaces without recursion, since a
+    one-block (lam*q)^a can come with n in the thousands: each step bumps
+    the last index below the top and repeats the prefix up to it, which
+    gives the prenecklaces in lexicographic order; one whose prefix length
+    divides n is a necklace, with that length as its period.  Bumping the
+    last index always gives an aperiodic necklace, so those steps are one
+    pass over the blocks above the last index whose odd-letter bits cancel
+    the prefix's (``with_bits`` lists the blocks per bits value), and no
+    odd aperiodic necklace is visited.  A periodic necklace with an odd
+    number of periods is skipped when its bits do not cancel.  The prefix
+    parities, joined words and coefficient products are folded lazily from
+    the first position a step changed.
     """
+    known = _pairing_table()
+    get = known.get
+    re = im = 0
     a = _block_length(m, blocks, mul)
     if a == m:
-        power = mul(blocks[m // 2], blocks[(m + 1) // 2])
-        counted = _counted_necklaces(power, 1, times)
-    else:
-        counted = _counted_necklaces(blocks[a], m // a, times)
-    if gaussian:
-        re = im = 0
-        for k, (c_re, c_im) in counted:
-            re += k * c_re
-            im += k * c_im
+        for word, c in mul(blocks[m // 2], blocks[(m + 1) // 2]).items():
+            if len(word) & 1:
+                continue
+            k = get(word)
+            if k is None:
+                k = _pairing_count(word, known)
+            if k and gaussian:
+                re += k * c[0]
+                im += k * c[1]
+            elif k:
+                re += k * c
         return re, im
-    return sum(k * c for k, c in counted), 0
+    n, words, coeffs = m // a, list(blocks[a]), list(blocks[a].values())
+    if n & 1 and all(len(word) & 1 for word in words):
+        return 0, 0  # every word joins an odd number of odd-length blocks
+    # each block's letters of odd multiplicity, as bits: a word whose blocks
+    # do not cancel them all has an odd letter and count 0
+    bit = {x: 1 << i for i, x in enumerate(set(chain.from_iterable(words)))}
+    odd = [reduce(operator.xor, map(bit.__getitem__, word), 0) for word in words]
+    with_bits: Dict[int, List[int]] = {}
+    for x, bits in enumerate(odd):
+        with_bits.setdefault(bits, []).append(x)
+    top, last = len(words) - 1, n - 1
+    # repeats[p]: n // p for a period p < n of n, else 0.  parity[j],
+    # joined[j] and coefficient[j] fold the first j blocks of seq; they
+    # hold for j <= checked and j <= built
+    repeats = [0] + [0 if n % p else n // p for p in range(1, n)]
+    parity = [0] * n
+    joined = [""] * n
+    coefficient = [blocks[0][""]] * n  # the empty product: 1 or (1, 0)
+    seq = [0] * n
+    period, checked, built = 1, 0, 0
+    while True:
+        while checked < last:
+            parity[checked + 1] = parity[checked] ^ odd[seq[checked]]
+            checked += 1
+        r = repeats[period]
+        if r & 1 and parity[period]:
+            r = 0  # an odd number of periods whose bits do not cancel
+        above = with_bits.get(parity[last], ())
+        first = bisect_right(above, seq[last])  # the last index's next bumps
+        target = last if first < len(above) else period if r else 0
+        while built < target:
+            x = seq[built]
+            joined[built + 1] = joined[built] + words[x]
+            coefficient[built + 1] = times(coefficient[built], coeffs[x])
+            built += 1
+        if r:
+            word = joined[period] * r
+            k = get(word)
+            if k is None:
+                k = _pairing_count(word, known)
+            if k:
+                c = reduce(times, [coefficient[period]] * r)
+                if gaussian:
+                    re += period * k * c[0]
+                    im += period * k * c[1]
+                else:
+                    re += period * k * c
+        for x in above[first:]:
+            word = joined[last] + words[x]
+            k = get(word)
+            if k is None:
+                k = _pairing_count(word, known)
+            if k:
+                c = times(coefficient[last], coeffs[x])
+                if gaussian:
+                    re += n * k * c[0]
+                    im += n * k * c[1]
+                else:
+                    re += n * k * c
+        i = last - 1
+        while seq[i] == top:
+            i -= 1
+            if i < 0:
+                return re, im
+        seq[i] += 1
+        period = i + 1
+        for j in range(period, n):
+            seq[j] = seq[j - period]
+        if checked > i:
+            checked = i
+        if built > i:
+            built = i
 
 
 def _block_length(m: int, blocks: List[Dict[str, object]], mul) -> int:
@@ -384,112 +482,6 @@ def _block_length(m: int, blocks: List[Dict[str, object]], mul) -> int:
     if best is None or cost <= best * sizes[h // 2] * sizes[(h + 1) // 2]:
         return m
     return best_a
-
-
-def _necklace_words(words: List[str], odd: List[int], coeffs: list, n: int, times):
-    """Each necklace of n blocks from ``words`` whose word can count, once,
-    as ``(seq, period, word, coefficient)``.
-
-    ``seq`` holds the blocks' indices, the least of its rotations (the list
-    is reused); ``period`` is its smallest period, the number of its distinct
-    rotations; ``word`` joins the blocks of its first period, and
-    ``coefficient`` multiplies their ``coeffs`` by ``times``.  A necklace
-    whose word has a letter of odd multiplicity, seen from the XOR of its
-    blocks' ``odd`` bits over an odd number of periods, is skipped before
-    its word is joined.
-
-    The FKM algorithm (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
-    J. Algorithms 13, 1992) lists them without recursion, since a one-block
-    ``words`` can come with n in the thousands: each step bumps the last
-    index below the top and repeats the prefix up to it, which gives the
-    prenecklaces in lexicographic order; one whose prefix length divides n
-    is a necklace, with that length as its period.  The prefix parities,
-    and for a necklace that passes them the joined words and coefficient
-    products, are folded lazily from the first position a step changed.
-    """
-    seq = [0] * n
-    if not (n & 1 and odd[0]):
-        yield seq, 1, words[0], coeffs[0]
-    top = len(words) - 1
-    if not top:
-        return
-    # repeats[p]: n // p for a period p of n, else 0.  parity[j], joined[j]
-    # and coefficient[j] fold the first j blocks; they hold for j <= checked
-    # and j <= built
-    repeats = [0] + [0 if n % p else n // p for p in range(1, n + 1)]
-    parity = [0] * (n + 1)
-    joined = [""] * (n + 1)
-    coefficient = [None] * (n + 1)
-    checked = built = 0
-    while True:
-        i = n - 1
-        while seq[i] == top:
-            i -= 1
-            if i < 0:
-                return
-        seq[i] += 1
-        period = i + 1
-        for j in range(period, n):
-            seq[j] = seq[j - period]
-        if checked > i:
-            checked = i
-        if built > i:
-            built = i
-        r = repeats[period]
-        if not r:
-            continue
-        if r & 1:
-            while checked < period:
-                parity[checked + 1] = parity[checked] ^ odd[seq[checked]]
-                checked += 1
-            if parity[period]:
-                continue
-        while built < period:
-            x = seq[built]
-            joined[built + 1] = joined[built] + words[x]
-            coefficient[built + 1] = times(coefficient[built], coeffs[x]) if built else coeffs[x]
-            built += 1
-        yield seq, period, joined[period], coefficient[period]
-
-
-def _counted_necklaces(block: Dict[str, object], r: int, times):
-    """(rotations * pairing count, coefficient) for each necklace of r blocks.
-
-    Over the sequences of r words of ``block``, one per rotation class whose
-    concatenated word has a nonzero pairing count, which is tau(w) itself.
-    ``times`` multiplies two coefficients.  With r = 1 every word of
-    ``block`` is its own necklace, and the count is 0 for a word with a
-    letter of odd multiplicity; with r > 1 such a word is skipped before it
-    is joined (``_necklace_words``).
-    """
-    known = _pairing_table()
-    get = known.get
-    if r == 1:
-        for word, c in block.items():
-            if len(word) & 1:
-                continue
-            k = get(word)
-            if k is None:
-                k = _pairing_count(word, known)
-            if k:
-                yield k, c
-        return
-    words = list(block)
-    if r & 1 and all(len(word) & 1 for word in words):
-        return  # every word joins an odd number of odd-length blocks
-    # each block's letters of odd multiplicity, as bits: a word whose blocks
-    # do not cancel them all has an odd letter and count 0
-    bit = {x: 1 << i for i, x in enumerate(set(chain.from_iterable(words)))}
-    odd = [reduce(operator.xor, map(bit.__getitem__, word), 0) for word in words]
-    for _, period, word, c in _necklace_words(words, odd, list(block.values()), r, times):
-        repeats = r // period  # a necklace is its first period, repeated
-        if repeats > 1:
-            word *= repeats
-        k = get(word)
-        if k is None:
-            k = _pairing_count(word, known)
-        if k:
-            yield period * k, c if repeats == 1 else reduce(times, [c] * repeats)
 
 
 def _gaussian_times(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:

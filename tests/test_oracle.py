@@ -1,5 +1,5 @@
+import functools
 import itertools
-import math
 import operator
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from freemoments import (
     catalan,
     enumerate_nc_pairings,
     free_cumulants,
+    infer_variable_count,
     moments,
     moments_from_cumulants,
     oracle,
@@ -183,32 +184,90 @@ def test_pairing_cache_misses_one_per_rotation_class():
     assert len(oracle._pairing_table()) <= 6485 // 4
 
 
-def test_necklaces_one_per_rotation_class():
-    # one-letter blocks, so a necklace's word spells its sequence; only the
-    # necklaces whose word has every letter an even number of times come out
-    primes = [2, 3, 5]
-    for n in range(1, 9):
+def _plain_power_sum(block, n, times, one):
+    """The sum over all len(block)^n sequences of n block words of the
+    coefficient product times ``word_moment`` of the joined word."""
+    re = im = 0
+    for seq in itertools.product(block.items(), repeat=n):
+        word = "".join(w for w, _ in seq)
+        k = word_moment(tuple(map(ord, word)), max_length=len(word)).re
+        c = functools.reduce(times, (c for _, c in seq), one)
+        re, im = (re + k * c[0], im + k * c[1]) if type(c) is tuple else (re + k * c, 0)
+    return re, im
+
+
+def test_necklaces_one_per_rotation_class(monkeypatch):
+    # the necklace walk counts one word per rotation class, weighted by its
+    # rotations, and drops the words with a letter of odd multiplicity: on
+    # blocks of length 1 it equals the plain sum over all block sequences
+    monkeypatch.setattr(oracle, "_block_length", lambda m, blocks, mul: 1)
+    families = [
+        ["\x01", "\x02", "\x03"],  # odd-length words, bits that never cancel
+        ["\x01\x02", "\x02\x01", "\x01\x02\x02\x01"],  # bits cancel in pairs
+        ["\x01\x02\x01", "\x02", "\x01\x01"],  # equal bits, other words
+        ["\x01\x02", "\x02\x03", "\x03\x01"],  # bits cancel three at a time
+    ]
+    integers, gaussians = [2, -3, 5], [(1, 2), (-3, 1), (2, -1)]
+    oracle._pairing_table.cache_clear()
+    for words in families:
         for k in range(1, 4):
-            words = [chr(x + 1) for x in range(k)]
-            odd = [1 << x for x in range(k)]
-            seen = set()
-            total = 0
-            necklaces = oracle._necklace_words(words, odd, primes[:k], n, operator.mul)
-            for seq, period, word, c in necklaces:
-                seq = tuple(seq)
-                rotations = {seq[i:] + seq[:i] for i in range(n)}
-                assert seq == min(rotations) and len(rotations) == period
-                assert word == "".join(words[x] for x in seq[:period])
-                assert c == math.prod(primes[x] for x in seq[:period])
-                assert seq not in seen
-                seen.add(seq)
-                total += period
-            even = [
-                seq for seq in itertools.product(range(k), repeat=n)
-                if all(seq.count(x) % 2 == 0 for x in range(k))
-            ]
-            assert total == len(even), (n, k)
-            assert seen == {min(seq[i:] + seq[:i] for i in range(n)) for seq in even}, (n, k)
+            for coeffs, mul, times, one in (
+                (integers, oracle._mul_int, operator.mul, 1),
+                (gaussians, oracle._mul_gaussian, oracle._gaussian_times, (1, 0)),
+            ):
+                block = dict(zip(words[:k], coeffs))
+                for n in range(1, 9):
+                    got = oracle._power_sum([{"": one}, block], n, mul, times, one != 1)
+                    assert got == _plain_power_sum(block, n, times, one), (words, k, n, coeffs)
+    # 300 words at n = 2, most of them sharing their odd-letter bits with many
+    rng = random.Random(27)
+    block = {}
+    while len(block) < 300:
+        word = "".join(rng.choice("\x01\x02\x03\x04") for _ in range(rng.randint(1, 5)))
+        block[word] = rng.randint(-9, 9) or 1
+    got = oracle._power_sum([{"": 1}, block], 2, oracle._mul_int, operator.mul, False)
+    assert got == _plain_power_sum(block, 2, operator.mul, 1)
+    oracle._pairing_table.cache_clear()
+
+
+# text: (the most _pairing_count calls, the largest final table) of
+# brute_moments at M = 8 on a cleared table, for the verify corpus
+ORACLE_WORK_BOUNDS = {
+    "x1^2 + x2^2": (94, 210),
+    "x1*x2 + x2*x3": (38, 40),
+    "x1^3": (4, 13),
+    "x1": (4, 5),
+    "x1*x2 + x2*x1": (62, 238),
+    "x1*x2*x1": (4, 29),
+    "1/2*x1^2 + 3/2*x2": (51, 84),
+    "x1^2 - x2^2 + x3": (703, 1098),
+    "x1^2": (8, 9),
+    "x1 + x2": (36, 49),
+    "x1^3 - 3*x1 + x2": (330, 609),
+    "2*x1*x2*x1 - x2 + 1": (60, 188),
+}
+
+
+def test_oracle_work_ratchet(monkeypatch):
+    # a ratchet on the oracle's work: no change may count more words or
+    # leave a larger table on any corpus input
+    count = oracle._pairing_count
+    calls = 0
+
+    def counted(word, known):
+        nonlocal calls
+        calls += 1
+        return count(word, known)
+
+    monkeypatch.setattr(oracle, "_pairing_count", counted)
+    for text, (max_calls, max_size) in ORACLE_WORK_BOUNDS.items():
+        p = parse_polynomial(text, max(1, infer_variable_count(text)))
+        oracle._pairing_table.cache_clear()
+        calls = 0
+        oracle.brute_moments(p, 8)
+        size = len(oracle._pairing_table())
+        assert 0 < calls <= max_calls and size <= max_size, (text, calls, size)
+    oracle._pairing_table.cache_clear()
 
 
 def test_brute_moment_cold_long_word(monkeypatch):
