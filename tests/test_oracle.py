@@ -192,7 +192,10 @@ def _plain_power_sum(block, n, times, one):
         word = "".join(w for w, _ in seq)
         k = word_moment(tuple(map(ord, word)), max_length=len(word)).re
         c = functools.reduce(times, (c for _, c in seq), one)
-        re, im = (re + k * c[0], im + k * c[1]) if type(c) is tuple else (re + k * c, 0)
+        if type(c) is tuple:
+            re, im = re + k * c[0], im + k * c[1]
+        else:
+            re += k * c
     return re, im
 
 
