@@ -11,15 +11,14 @@ The variable, product, linear-combination and pseudo-inverse constructions
 (a* = sum_{k>=1} a^k) build such representations, and ``build_zq_star``
 composes them into that of (z*q)* for a constant-free q.  ``reduce_rep``
 cuts every entry after z^M, and ``iterate_system`` runs the paper's
-T = deg(q)*M full sweeps through ``_kernel.iterate``.  Everything is exact
-and immutable.
+T = deg(q)*M full sweeps in ``_sweep``, which shares no code with the
+kernel that production solves with.  Everything is exact and immutable.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from . import _kernel
 from .errors import InvalidPolynomialError, VariableMismatchError
 from .ncpoly import NCPolynomial, Word
 from .scalar import ONE, ZERO, Scalar
@@ -341,7 +340,7 @@ def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
 
 
 def _sparse_rows(mats: ReducedMats):
-    """Reduced matrices as kernel input: per-variable sparse rows, with the
+    """Reduced matrices as ``_sweep`` input: per-variable sparse rows, with the
     coefficients as plain ints when every one is a real integer and as
     Scalars otherwise."""
     as_int = all(
@@ -363,10 +362,50 @@ def _sparse_rows(mats: ReducedMats):
     return sparse
 
 
+def _add_product(row: dict, l: int, f, g, n_coeffs: int) -> None:
+    """row[l] += f g, cut after z^(n_coeffs - 1); a new cell is ``int`` zeros."""
+    cell = row.get(l)
+    if cell is None:
+        cell = row[l] = [0] * n_coeffs
+    for r, x in enumerate(f[:n_coeffs]):
+        if x:
+            for k, y in enumerate(g[: n_coeffs - r], r):
+                if y:
+                    cell[k] += x * y
+
+
+def _sweep(mats, dim: int, n_coeffs: int, steps: int) -> list:
+    """Run P <- sum_i (mu_i (P + I))^2 ``steps`` times from P = 0; entry (1, N).
+
+    ``mats`` are ``_sparse_rows`` output, with ``int`` or ``Scalar``
+    coefficients; ``n_coeffs`` is M + 1.  P is sparse rows, row j -> {column
+    l: coefficient list}, and each sweep reads only the previous P (a Jacobi
+    sweep): per letter, A_i = mu_i (P + I) and then A_i A_i.
+    """
+    p = {}
+    for _ in range(steps):
+        new = {}
+        for mu in mats:
+            a = {}
+            for j, entries in mu.items():
+                row = a[j] = {}
+                for t, zp in entries:
+                    _add_product(row, t, zp, (1,), n_coeffs)
+                    for l, cell in p.get(t, {}).items():
+                        _add_product(row, l, zp, cell, n_coeffs)
+            for j, row in a.items():
+                out = new.setdefault(j, {})
+                for t, f in row.items():
+                    for l, g in a.get(t, {}).items():
+                        _add_product(out, l, f, g, n_coeffs)
+        p = new
+    return p.get(0, {}).get(dim - 1, [0] * n_coeffs)
+
+
 def iterate_system(
     mats: ReducedMats, dim: int, truncation_order: int, iterations: int
 ) -> ZPoly:
-    """Iterate P <- sum_i (mu_i (P + I))^2 from P = 0; entry (1, N) of P^T.
+    """Iterate P <- sum_i (mu_i (P + I))^2 from P = 0; entry (1, N) of P.
 
     The z^m coefficient of the result equals tau(q(s_1,...,s_n)^m) for
     1 <= m <= M whenever ``iterations`` >= deg(q)*M.
@@ -374,4 +413,4 @@ def iterate_system(
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
     sparse = _sparse_rows(mats)
-    return ZPoly(_kernel.iterate(sparse, dim, truncation_order + 1, iterations))
+    return ZPoly(_sweep(sparse, dim, truncation_order + 1, iterations))

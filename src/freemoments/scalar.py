@@ -13,8 +13,8 @@ Arithmetic results are built by ``_make`` from parts that are already
 again a ``Fraction``), so they skip that check, as do the moments built
 by ``from_ints`` from int parts over a denominator.  An ``int``
 operand of ``+`` or ``*`` is combined with the parts directly, since the
-kernel's cells start as ``int`` zeros; operands of any other type go through
-``_coerce`` first, which refuses floats.
+reference sweep's cells start as ``int`` zeros; operands of any other type
+go through ``_coerce`` first, which refuses floats.
 """
 
 from __future__ import annotations

@@ -252,8 +252,9 @@ def dense_jacobi(mats, dim: int, n_coeffs: int, steps: int) -> list:
 
     Dense, in Z[z]/(z^n_coeffs): each sweep forms A_i = mu_i (P + I) and
     then A_i A_i for every letter, from the previous P only (a Jacobi
-    sweep).  Returns P as a dim x dim list of coefficient lists.  Nothing
-    here is shared with ``freemoments._kernel``.
+    sweep).  Returns P as a dim x dim list of coefficient lists, of any
+    numbers the rows hold.  Nothing here is shared with
+    ``freemoments._kernel`` or ``freemoments.reference``.
     """
     span = range(dim)
     orders = range(n_coeffs)
@@ -262,7 +263,8 @@ def dense_jacobi(mats, dim: int, n_coeffs: int, steps: int) -> list:
         return [
             [
                 [
-                    sum(a[j][t][r] * b[t][l][k - r] for t in span for r in range(k + 1))
+                    sum(x * b[t][l][k - r] for t in span
+                        for r, x in enumerate(a[j][t][: k + 1]) if x)
                     for k in orders
                 ]
                 for l in span

@@ -20,7 +20,8 @@ from freemoments import (
 from freemoments import _kernel
 from freemoments.cli import complexity_probe
 from freemoments.engine import MAX_ORDER, MomentVector, build_residual_rows
-from freemoments.reference import iterate_system, reduce_rep, rep_variable
+from freemoments.ncpoly import split_constant
+from freemoments.reference import _sweep, iterate_system, reduce_rep, rep_variable
 
 import properties
 from helpers import dense_jacobi, dense_solve, kernel_row_features, random_kernel_rows
@@ -89,6 +90,28 @@ def test_iterate_kernels_agree():
         scaled = moments(q, 6)  # runs the integer path after rescaling
         for m in range(1, 7):
             assert direct.coefficient(m) == scaled.value(m), (text, m)
+
+
+def test_reference_shares_nothing_with_kernel(monkeypatch):
+    # with every kernel function the solve uses replaced by one that raises,
+    # the paper's sweep still gives the moments: integer, rational and
+    # Gaussian inputs
+    texts = [(text, poly.n_vars) for text, poly in properties.corpus_polynomials()]
+    texts += [("i*x1 + x2", 2), ("i*x1*x2 - i*x2*x1 + 1/3*x2^2", 2)]
+    cases = []
+    for text, n_vars in texts:
+        q = split_constant(parse_polynomial(text, n_vars))[1]
+        cases.append((text, q, moments(q, 6)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called the kernel")
+
+    for name in ("solve", "_plan", "_identity", "_merged", "_mul"):
+        monkeypatch.setattr(_kernel, name, refuse)
+    for text, q, mv in cases:
+        rep = build_zq_star(q)
+        series = iterate_system(reduce_rep(rep, 6), rep.dim, 6, q.degree * 6)
+        assert [series.coefficient(m) for m in range(1, 7)] == list(mv.values), text
 
 
 def test_moments_cumulant_example():
@@ -281,9 +304,9 @@ def test_solve_modulus_congruent_to_plain_solve():
 
 
 def test_iterate_matches_dense_jacobi():
-    # seeded rows, graded and ungraded: every sweep of the kernel's Jacobi
+    # seeded rows, graded and ungraded: every sweep of the reference's Jacobi
     # iteration, not only its fixed point, gives entry (0, dim - 1) of the
-    # dense sweep's P
+    # dense sweep's P; then the same on rational and Gaussian Scalar rows
     import random
 
     rng = random.Random(2001)
@@ -294,11 +317,29 @@ def test_iterate_matches_dense_jacobi():
         n_coeffs = rng.randint(1, 6)
         for steps in range(1, dim + 3):
             expected = dense_jacobi(mats, dim, n_coeffs, steps)[0][dim - 1]
-            got = _kernel.iterate(mats, dim, n_coeffs, steps)
+            got = _sweep(mats, dim, n_coeffs, steps)
             assert got == expected, (case, steps)
     # the corpus has letters that give one product of B twice, and entries
     # with both a z^0 and a z^1 part
     assert [any(seen) for seen in zip(*features)] == [True, True]
+    for case in range(8):
+        gaussian = case % 2 == 1
+        mats, dim, _ = random_kernel_rows(rng, case % 4 < 2)
+        for rows in mats:
+            for j, entries in rows.items():
+                rows[j] = [
+                    (t, tuple(
+                        Scalar(Fraction(c, rng.randint(1, 4)),
+                               rng.randint(-2, 2) if gaussian and c else 0)
+                        for c in zp
+                    ))
+                    for t, zp in entries
+                ]
+        n_coeffs = rng.randint(1, 6)
+        for steps in (1, dim + 2):  # Scalar arithmetic is slow: first and last
+            expected = dense_jacobi(mats, dim, n_coeffs, steps)[0][dim - 1]
+            got = _sweep(mats, dim, n_coeffs, steps)
+            assert got == expected, ("Scalar", case, steps)
 
 
 def _violations(mats, grading):
