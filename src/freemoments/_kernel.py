@@ -90,35 +90,20 @@ def _identity(grading: Grading, n_coeffs: int) -> list:
     return q
 
 
-def _merged(q: list) -> dict:
-    """P = Q - I, each row's phases joined into one dict and each cell without
-    its made-at order; only cells nonzero at some order (a product written
-    into a cell is nonzero, but the sum can cancel) and no empty row."""
-    p = {}
-    for j, row in enumerate(q):
-        for cols in row:
-            for cell in cols.values():
-                cell.pop()
-            if j in cols:
-                cols[j][0] -= 1
-        cells = {l: cell for cols in row for l, cell in cols.items() if any(cell)}
-        if cells:
-            p[j] = cells
-    return p
-
-
 def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
-          grading: Optional[Grading] = None) -> dict:
-    """Solve for P over ``int`` by back-substitution, one order at a time.
+          grading: Optional[Grading] = None) -> List[int]:
+    """Entry (dim - 1, dim - 1) of P over ``int``, by back-substitution, one
+    order at a time: its ``n_coeffs`` coefficients, all 0 when ``dim`` is 0.
 
     Every z^0 entry (j, t) of the mu_i must have t > j, and every nonzero
     entry must satisfy the ``grading`` given (None is the trivial grading,
     which every entry satisfies); otherwise ``AssertionError`` is raised
     before any arithmetic.  With a ``modulus`` n, every cell of B and of Q
     written at order k is brought back into (-n/2, n/2] once its row is
-    done, so P is exact modulo n.  Returns exactly the nonzero cells of P,
-    as sparse rows: row j -> {column l: coefficient list}, with no empty
-    row.
+    done, so the entry is exact modulo n.  Row dim - 1 has no z^0 entry, so
+    order M of Q[dim - 1][dim - 1] reads row dim - 1 of B up to order M and
+    column dim - 1 of Q below it: the last order visits only row dim - 1 and
+    convolves only into that one cell.
     """
     grading = grading or ([0] * dim, [0] * len(mats), 1)
     phase, chi, step = grading
@@ -138,13 +123,17 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
                             f"z^{e} entry ({j}, {t}) of letter {i} breaks the "
                             "Z/2 grading given for the representation"
                         )
+    if not dim:
+        return [0] * n_coeffs
     q = _identity(grading, n_coeffs)
     plan = _plan(mats, grading, q)
     b = [({}, {})[:step] for _ in plan]
     half = (modulus - 1) // 2
+    top = dim - 1
     for k in range(n_coeffs):
         kp = k % step
-        for j in range(dim - 1, -1, -1):
+        last = k == n_coeffs - 1  # only Q[top][top] is read at this order
+        for j in (top,) if last else range(top, -1, -1):
             h = phase[j] ^ kp
             b_j, q_j = b[j][h], q[j][h]
             # order k of row j of B = eta(Q), one plan entry per product
@@ -162,6 +151,8 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
             for mid in b[j]:
                 for s, f in mid.items():
                     cols = q[s][h]
+                    if last:
+                        cols = {top: cols[top]} if top in cols else None
                     if cols:
                         # B[j][s] is 0 below order v and off every step-th order:
                         # only the Q[s][l] of phase h made by order k - v count
@@ -182,7 +173,10 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
                     for cell in cells.values():
                         if cell[k]:
                             cell[k] = (cell[k] + half) % modulus - half
-    return _merged(q)
+    entry = q[top][phase[top]][top]  # the identity's cell, made at order 0
+    entry.pop()
+    entry[0] -= 1
+    return entry
 
 
 def __getattr__(name):

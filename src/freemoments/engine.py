@@ -208,9 +208,8 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
         [(w, re + im * r) for w, re, im in terms]
     )
     n_coeffs = max_order + 1
-    p_mat = _kernel.solve(rows, n_states, n_coeffs, modulus, grading)
-    start = n_states - 1
-    entry = p_mat.get(start, {}).get(start, [0] * n_coeffs)
+    # entry (start, start) of P: the start state is N - 1
+    entry = _kernel.solve(rows, n_states, n_coeffs, modulus, grading)
     if entry[0]:
         # every path out of the start state carries at least one factor of z
         raise AssertionError(

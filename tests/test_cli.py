@@ -629,8 +629,7 @@ def test_norm_bound_violation_exit_3(capsys, monkeypatch):
 
     def out_of_bound(mats, dim, n_coeffs, modulus=0, grading=None):
         # |tau(s^2)| <= ||s||^2 = 4, but order 2 reads 5
-        start = dim - 1
-        return {start: {start: [0, 0, 5] + [0] * (n_coeffs - 3)}}
+        return [0, 0, 5] + [0] * (n_coeffs - 3)
 
     monkeypatch.setattr(kernel_module, "solve", out_of_bound)
     code, out, err = run(capsys, "moments", "--poly", "x1", "--max-order", "3")
@@ -641,8 +640,7 @@ def test_norm_bound_violation_exit_3(capsys, monkeypatch):
     # reads r + 3, i.e. tau = 3 + i where |tau(i*s)| <= 2 allows no real part
     def off_by_three(mats, dim, n_coeffs, modulus=0, grading=None):
         r = math.isqrt(modulus - 1)
-        start = dim - 1
-        return {start: {start: [0, r + 3] + [0] * (n_coeffs - 2)}}
+        return [0, r + 3] + [0] * (n_coeffs - 2)
 
     monkeypatch.setattr(kernel_module, "solve", off_by_three)
     code, _, err = run(capsys, "moments", "--poly", "i*x1", "--max-order", "2")
@@ -656,8 +654,7 @@ def test_self_adjoint_moment_not_real_exit_3(capsys, monkeypatch):
     def imaginary(mats, dim, n_coeffs, modulus=0, grading=None):
         # i*x1*x2 - i*x2*x1 is self-adjoint; order 2 reads tau = i
         r = math.isqrt(modulus - 1)
-        start = dim - 1
-        return {start: {start: [0, 0, r] + [0] * (n_coeffs - 3)}}
+        return [0, 0, r] + [0] * (n_coeffs - 3)
 
     monkeypatch.setattr(kernel_module, "solve", imaginary)
     code, _, err = run(

@@ -106,7 +106,7 @@ def test_reference_shares_nothing_with_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the reference called the kernel")
 
-    for name in ("solve", "_plan", "_identity", "_merged", "_mul"):
+    for name in ("solve", "_plan", "_identity", "_mul"):
         monkeypatch.setattr(_kernel, name, refuse)
     for text, q, mv in cases:
         rep = build_zq_star(q)
@@ -268,8 +268,8 @@ def test_solve_rejects_z0_cycle():
 
 def test_solve_modulus_congruent_to_plain_solve():
     # seeded random rows with a strictly upper triangular z^0 part: reducing
-    # each order modulo n keeps every cell congruent to the exact solve and
-    # inside (-n/2, n/2]
+    # each order modulo n keeps every coefficient of the returned entry
+    # congruent to the exact solve's and inside (-n/2, n/2]
     import random
 
     rng = random.Random(1101)
@@ -290,17 +290,14 @@ def test_solve_modulus_congruent_to_plain_solve():
                 if entries:
                     rows[j] = entries
             mats.append(rows)
-        plain = _kernel.solve(mats, dim, n_coeffs)
+        exact = _kernel.solve(mats, dim, n_coeffs)
+        assert len(exact) == n_coeffs, case
         for modulus in (2, 97, 1000, 2**40 + 1):
             reduced = _kernel.solve(mats, dim, n_coeffs, modulus)
-            zeros = [0] * n_coeffs
-            for j in set(plain) | set(reduced):
-                row, row_mod = plain.get(j, {}), reduced.get(j, {})
-                for l in set(row) | set(row_mod):
-                    exact, cell = row.get(l, zeros), row_mod.get(l, zeros)
-                    for k in range(n_coeffs):
-                        assert (exact[k] - cell[k]) % modulus == 0, (case, modulus)
-                        assert -modulus < 2 * cell[k] <= modulus, (case, modulus)
+            assert len(reduced) == n_coeffs, (case, modulus)
+            for x, y in zip(exact, reduced):
+                assert (x - y) % modulus == 0, (case, modulus)
+                assert -modulus < 2 * y <= modulus, (case, modulus)
 
 
 def test_iterate_matches_dense_jacobi():
@@ -389,7 +386,7 @@ def test_grading_satisfies_its_entries():
     # on seeded polynomials in up to 3 variables, the builder finds a grading
     # exactly when a brute force over all 2^n letter weights finds a chi that
     # makes every word odd; every grading found holds on every nonzero entry,
-    # gives the start state phase 0 and leaves the solve unchanged
+    # gives the start state phase 0 and leaves the solve's entry unchanged
     import random
 
     rng = random.Random(1502)
@@ -414,10 +411,11 @@ def test_grading_satisfies_its_entries():
 
 
 def test_solve_matches_dense_reference():
-    # seeded rows, graded and ungraded, with and without a modulus: the
-    # cells returned are exactly the nonzero cells of the dense order-by-order
-    # solve, each equal to it, and on graded rows that solve's P[j][l] is
-    # nonzero only at orders k = phi(j) + phi(l) (mod 2)
+    # seeded rows, graded and ungraded, with and without a modulus: for every
+    # n up to the case's n_coeffs, so that each order is the last one once,
+    # the solve returns entry (dim - 1, dim - 1) of the dense order-by-order
+    # solve, cut after z^(n - 1); on graded rows that entry is nonzero only
+    # at even orders, since the start state's phase meets itself
     import random
 
     rng = random.Random(1515)
@@ -426,28 +424,16 @@ def test_solve_matches_dense_reference():
         mats, dim, grading = random_kernel_rows(rng, case % 2 == 0)
         features.append(kernel_row_features(mats))
         n_coeffs = rng.randint(1, 8)
-        zeros = [0] * n_coeffs
         for modulus in (0, 2, 97, 2**40 + 1):
-            expected = dense_solve(mats, dim, n_coeffs, modulus)
-            got = _kernel.solve(mats, dim, n_coeffs, modulus, grading)
-            nonzero = {
-                (j, l) for j in range(dim) for l in range(dim) if any(expected[j][l])
-            }
-            assert {(j, l) for j, row in got.items() for l in row} == nonzero, (
-                case, modulus,
-            )
-            assert all(got.values()), (case, modulus)  # no empty row
-            for j in range(dim):
-                for l in range(dim):
-                    cell = got.get(j, {}).get(l, zeros)
-                    assert cell == expected[j][l], (case, modulus, j, l)
-                    if grading is not None and not modulus:
-                        phase = grading[0]
-                        assert not any(
-                            c for k, c in enumerate(cell)
-                            if (k + phase[j] + phase[l]) % 2
-                        ), (case, j, l)
+            expected = dense_solve(mats, dim, n_coeffs, modulus)[dim - 1][dim - 1]
+            for n in range(1, n_coeffs + 1):
+                got = _kernel.solve(mats, dim, n, modulus, grading)
+                assert got == expected[:n], (case, modulus, n)
+            if grading is not None and not modulus:
+                assert not any(c for k, c in enumerate(expected) if k % 2), case
     assert [any(seen) for seen in zip(*features)] == [True, True]
+    # no states: P is empty, and so is its entry
+    assert _kernel.solve([], 0, 4) == [0] * 4
 
 
 def test_complex_decode():
@@ -661,18 +647,18 @@ def test_closed_forms_past_oracle_reach():
 # job order, and four structured inputs, each with the number of integer
 # products its solve took when the bound was recorded
 KERNEL_PRODUCT_BOUNDS = [
-    ("x1*x2 + x2*x1", 2, 64, 2640),
-    ("x1^3 - 3*x1", 1, 32, 3623),
-    ("-2*x3*x1 + x1*x3", 3, 32, 680),
-    ("x1^3 - 3*x1", 1, 16, 947),
-    ("x1*x2 + x2*x1 + i*x2*x3 - i*x3*x2 + 1/2*x1^2 + x3^2 - 2/3*x2 + 2", 3, 4, 327),
-    ("x1*x2*x3 + x3*x2*x1 + i*x1^2 - i*x2^2 + 1/2*x3 + x1*x3 + 1", 3, 4, 444),
-    ("-1/2*x2^2 - x1^2 - x3*x2 - i*x1*x3 + 2/3*x3 + i*x3*x1 - x2*x3 + 2", 3, 2, 53),
-    ("i*x2^2 - 1/2*x3 - x2*x1*x3 + x3*x1*x2 - i*x1^2 + x2*x3 + 1", 3, 2, 56),
-    ("(x1+x2+x3)^3", 3, 48, 8027),
-    ("(x1+x2)^8", 2, 2, 480),
-    ("x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1", 3, 96, 195744),
-    ("x1^80", 1, 1, 190400),
+    ("x1*x2 + x2*x1", 2, 64, 2576),
+    ("x1^3 - 3*x1", 1, 32, 3429),
+    ("-2*x3*x1 + x1*x3", 3, 32, 648),
+    ("x1^3 - 3*x1", 1, 16, 849),
+    ("x1*x2 + x2*x1 + i*x2*x3 - i*x3*x2 + 1/2*x1^2 + x3^2 - 2/3*x2 + 2", 3, 4, 164),
+    ("x1*x2*x3 + x3*x2*x1 + i*x1^2 - i*x2^2 + 1/2*x3 + x1*x3 + 1", 3, 4, 189),
+    ("-1/2*x2^2 - x1^2 - x3*x2 - i*x1*x3 + 2/3*x3 + i*x3*x1 - x2*x3 + 2", 3, 2, 11),
+    ("i*x2^2 - 1/2*x3 - x2*x1*x3 + x3*x1*x2 - i*x1^2 + x2*x3 + 1", 3, 2, 12),
+    ("(x1+x2+x3)^3", 3, 48, 7737),
+    ("(x1+x2)^8", 2, 2, 184),
+    ("x1*x2*x3*x1 + x2*x2*x1 + 3*i*x3^5 - x1", 3, 96, 191986),
+    ("x1^80", 1, 1, 21360),
 ]
 
 
@@ -691,6 +677,40 @@ def test_kernel_product_count_ratchet(monkeypatch):
         count = 0
         moments(parse_polynomial(text, n_vars), max_order)
         assert 0 < count <= bound, (text, max_order, count, bound)
+
+
+# (bound on each doubling's ratio, sweep of (text, n_vars, M, products
+# counted when recorded)): a chain of N = d states at M = 1, and the 3-state
+# automaton of (x1+x2+x3)^3 at rising M.  The solve takes O(N^3 M^2)
+# products: a ratio near 8 per doubling of the word, near 4 per doubling of M
+KERNEL_SCALING = [
+    (8.1, [("x1^25", 1, 1, 650), ("x1^50", 1, 1, 5225), ("x1^100", 1, 1, 41700)]),
+    (4.1, [("(x1+x2+x3)^3", 3, 16, 849), ("(x1+x2+x3)^3", 3, 32, 3429),
+           ("(x1+x2+x3)^3", 3, 64, 13773), ("(x1+x2+x3)^3", 3, 128, 55197)]),
+]
+
+
+def test_kernel_product_scaling(monkeypatch):
+    # the paper's polynomial-time claim, on exact integers: each doubling of
+    # the word length or of M multiplies the solve's products by at most the
+    # recorded factor, and no count exceeds the one recorded
+    count = 0
+
+    def counting_mul(a, b):
+        nonlocal count
+        count += 1
+        return a * b
+
+    monkeypatch.setattr(_kernel, "_mul", counting_mul)
+    for ratio, sweep in KERNEL_SCALING:
+        counts = []
+        for text, n_vars, max_order, bound in sweep:
+            count = 0
+            moments(parse_polynomial(text, n_vars), max_order)
+            assert 0 < count <= bound, (text, max_order, count, bound)
+            counts.append(count)
+        for small, large in zip(counts, counts[1:]):
+            assert large <= ratio * small, (counts, ratio)
 
 
 def test_iterate_order_zero():
