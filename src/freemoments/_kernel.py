@@ -5,7 +5,8 @@ The fixed-point system P = sum_i (mu_i (P + I))^2 is solved here over
 denominators cleared; a complex weight arrives already encoded as one ``int``
 of Z/(r^2 + 1) (see ``engine``), and ``solve`` then reduces every cell modulo
 n = r^2 + 1 once its order is done, so cells stay within n/2 in absolute
-value instead of growing like r^k.
+value instead of growing like r^k.  The engine reads one entry of P, that of
+its start state, numbered dim - 1, and ``solve`` returns only that entry.
 
 With Q = P + I, (mu_i Q)^2 = mu_i Q mu_i Q, so Q = I + B Q with
 B = eta(Q) = sum_i mu_i Q mu_i: the operator-valued semicircular equation
@@ -13,10 +14,10 @@ B = eta(Q) = sum_i mu_i Q mu_i: the operator-valued semicircular equation
 z-degree <= 1, so order k of B is a sum of single products that read Q at
 orders k, k - 1 and k - 2, and only B Q is a convolution: one
 matrix-series product per order, whatever the number of letters.  B and Q
-(with its I, which ``_merged`` takes off) are rows of dicts of nonzero
-cells, zero blocks skipped.  A cell is its M + 1 coefficients and then
-the order it was made at, below which it is 0; a dict holds its cells in
-that order, so the convolution skips the products that cannot reach k.
+are rows of dicts of nonzero cells, zero blocks skipped.  A cell is its
+M + 1 coefficients and then the order it was made at, below which it is 0;
+a dict holds its cells in that order, so the convolution skips the
+products that cannot reach k.
 
 ``solve`` runs one loop over orders k and, in each, over rows j.  Row j
 first gets order k of B from a plan of flat lists, one per row and phase,
@@ -28,7 +29,12 @@ multiply.  Then order k of row j of B Q is added to Q.  Order k of B and
 of Q reads Q[k] only through the z^0 part of the mu_i; when that part is
 strictly upper triangular, so are those of P and B, and row j of order k
 reads only higher rows of order k: taking the rows from last to first is
-a back-substitution, and every value is final when it is written.
+a back-substitution, and every value is final when it is written.  The
+last order M is read only at Q[dim - 1][dim - 1].  Row dim - 1 has no z^0
+entry, so B[dim - 1] is 0 at order 0 and its order M reads Q below M, and
+order M of that cell is the sum over s and v >= 1 of B[dim - 1][s] at v
+times Q[s][dim - 1] at M - v.  So order M visits row dim - 1 alone, with
+all of its B cells and one convolution into that cell.
 
 ``solve`` also skips the orders a cell cannot hold.  For free semicirculars
 tau(w) = 0 unless every letter occurs in w an even number of times, and the
@@ -100,10 +106,8 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
     which every entry satisfies); otherwise ``AssertionError`` is raised
     before any arithmetic.  With a ``modulus`` n, every cell of B and of Q
     written at order k is brought back into (-n/2, n/2] once its row is
-    done, so the entry is exact modulo n.  Row dim - 1 has no z^0 entry, so
-    order M of Q[dim - 1][dim - 1] reads row dim - 1 of B up to order M and
-    column dim - 1 of Q below it: the last order visits only row dim - 1 and
-    convolves only into that one cell.
+    done, so the entry is exact modulo n.  Every cell but the entry stops
+    one order short: the last order computes the entry alone (see above).
     """
     grading = grading or ([0] * dim, [0] * len(mats), 1)
     phase, chi, step = grading

@@ -38,7 +38,10 @@ Given a noncommutative polynomial p and a target order M, the engine
    For free semicirculars tau(w) = 0 unless every letter occurs in w an
    even number of times, so such a q has tau(q^m) = 0 at odd m.  The z^m
    coefficient of entry (start, start) is then tau((lam*q)(s)^m) for every
-   m <= M.  For complex
+   m <= M, and that entry is all the solve returns: the start state is
+   state N - 1 and has no z^0 edge, so the last order computes row start
+   of eta(Q) and the one convolution into the entry, and no other cell
+   (see ``_kernel``).  For complex
    input the solve runs modulo n = r^2 + 1, and the entry, taken in
    (-n/2, n/2], is Re + Im*r exactly: ||s_i|| = 2 bounds
    |tau((lam*q)^m)| by B^m, B = sum_w (|re| + |im|) 2^|w|, and

@@ -662,9 +662,9 @@ KERNEL_PRODUCT_BOUNDS = [
 ]
 
 
-def test_kernel_product_count_ratchet(monkeypatch):
-    # a ratchet on the solve's work: every product of a series convolution
-    # goes through _kernel._mul, and no change may make any count larger
+def _products(monkeypatch, text, n_vars, max_order):
+    """Integer products the solve takes for moments(text, max_order): every
+    product of a series convolution goes through _kernel._mul."""
     count = 0
 
     def counting_mul(a, b):
@@ -673,9 +673,14 @@ def test_kernel_product_count_ratchet(monkeypatch):
         return a * b
 
     monkeypatch.setattr(_kernel, "_mul", counting_mul)
+    moments(parse_polynomial(text, n_vars), max_order)
+    return count
+
+
+def test_kernel_product_count_ratchet(monkeypatch):
+    # a ratchet on the solve's work: no change may make any count larger
     for text, n_vars, max_order, bound in KERNEL_PRODUCT_BOUNDS:
-        count = 0
-        moments(parse_polynomial(text, n_vars), max_order)
+        count = _products(monkeypatch, text, n_vars, max_order)
         assert 0 < count <= bound, (text, max_order, count, bound)
 
 
@@ -694,21 +699,11 @@ def test_kernel_product_scaling(monkeypatch):
     # the paper's polynomial-time claim, on exact integers: each doubling of
     # the word length or of M multiplies the solve's products by at most the
     # recorded factor, and no count exceeds the one recorded
-    count = 0
-
-    def counting_mul(a, b):
-        nonlocal count
-        count += 1
-        return a * b
-
-    monkeypatch.setattr(_kernel, "_mul", counting_mul)
     for ratio, sweep in KERNEL_SCALING:
         counts = []
         for text, n_vars, max_order, bound in sweep:
-            count = 0
-            moments(parse_polynomial(text, n_vars), max_order)
-            assert 0 < count <= bound, (text, max_order, count, bound)
-            counts.append(count)
+            counts.append(_products(monkeypatch, text, n_vars, max_order))
+            assert 0 < counts[-1] <= bound, (text, max_order, counts[-1], bound)
         for small, large in zip(counts, counts[1:]):
             assert large <= ratio * small, (counts, ratio)
 
