@@ -251,9 +251,19 @@ ORACLE_WORK_BOUNDS = {
 }
 
 
+# text: (order, the most _pairing_count calls, the largest final table) of
+# brute_moments on a cleared table, for Gaussian inputs, each at its own order
+GAUSSIAN_ORACLE_WORK_BOUNDS = {
+    "x1 + i*x2 + 1": (7, 16, 18),
+    "x1*x2 + i*x2*x1 + 1/2": (10, 170, 780),
+    "x1^2 + i*x2*x3 - i*x3*x2 + x3": (9, 8275, 16743),
+    "2*x1 + i*x1^2 - 1": (16, 16, 17),
+}
+
+
 def test_oracle_work_ratchet(monkeypatch):
     # a ratchet on the oracle's work: no change may count more words or
-    # leave a larger table on any corpus input
+    # leave a larger table on any corpus or Gaussian input
     count = oracle._pairing_count
     calls = 0
 
@@ -263,11 +273,13 @@ def test_oracle_work_ratchet(monkeypatch):
         return count(word, known)
 
     monkeypatch.setattr(oracle, "_pairing_count", counted)
-    for text, (max_calls, max_size) in ORACLE_WORK_BOUNDS.items():
+    cases = [(text, 8, *bounds) for text, bounds in ORACLE_WORK_BOUNDS.items()]
+    cases += [(text, *bounds) for text, bounds in GAUSSIAN_ORACLE_WORK_BOUNDS.items()]
+    for text, order, max_calls, max_size in cases:
         p = parse_polynomial(text, max(1, infer_variable_count(text)))
         oracle._pairing_table.cache_clear()
         calls = 0
-        oracle.brute_moments(p, 8)
+        oracle.brute_moments(p, order, 3**16)  # the cap admits 2*x1 + i*x1^2 - 1 at 16
         size = len(oracle._pairing_table())
         assert 0 < calls <= max_calls and size <= max_size, (text, calls, size)
     oracle._pairing_table.cache_clear()
