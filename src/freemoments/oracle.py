@@ -6,12 +6,13 @@ deliberately exponential:
 * moments of a single word come from counting non-crossing pairings whose
   paired positions carry equal letters (mixed free cumulants vanish and the
   only nonzero semicircular cumulant is kappa_2 = 1);
-* moments of a polynomial sum over the term sequences of (lam*q)^j over
-  integer coefficients, with lam the least common multiple of the
-  denominators of p's coefficients and q = p - c its nonconstant part, and
-  divide the pairing-weighted sum by lam^m once.  The constant c is central,
-  so tau((lam*p)^m) is the binomial sum of C(m, j) (lam*c)^(m-j)
-  tau((lam*q)^j).  tau is a trace and non-crossing pairings are invariant
+* moments of a polynomial sum over the term sequences of (lam*q)^j, with
+  lam the least common multiple of the denominators of p's coefficients
+  and q = p - c its nonconstant part, and divide the pairing-weighted sum
+  by lam^m once.  Each coefficient is an ``int``, or a ``_Gaussian``
+  integer for a term with an imaginary part, on one arithmetic path.  The
+  constant c is central, so tau((lam*p)^m) is the binomial sum of
+  C(m, j) (lam*c)^(m-j) tau((lam*q)^j).  tau is a trace and non-crossing pairings are invariant
   under rotation (Nica-Speicher, Lectures on the Combinatorics of Free
   Probability, 2006, Lect. 8 and 22), so the sequences are split into
   blocks (lam*q)^a and each rotation class of blocks, a necklace, is
@@ -252,16 +253,16 @@ def brute_moment(
     the engine avoids.  Requests with (m_p)^m over ``expansion_cap`` are
     refused (``check_expansion_cap``), m_p counting p's constant too.
 
-    The sum runs on integers only.  With lam and the integer coefficients
+    The sum runs on exact integers only.  With lam and the integer coefficients
     of lam*p from ``NCPolynomial.integer_terms``, write lam*p = lam*c +
     lam*q with c the constant.  c is central, so by the binomial theorem
     tau((lam*p)^m) = sum_j C(m, j) (lam*c)^(m-j) tau((lam*q)^j), over the
     j <= m with tau((lam*q)^j) != 0, and only q's t terms are expanded:
     t^j sequences, not (t+1)^m.  With no constant only j = m is summed.
     For each j the blocks D_a = (lam*q)^a, up to a = ceil(j/2), are maps
-    from word, a string of dense letter codes (``_letter_codes``), to
-    ``int``, or to an ``(re, im)`` pair of ``int``s when a coefficient is
-    not real.  tau is a trace, so a cyclic rotation of a sequence of blocks
+    from word, a string of dense letter codes (``_letter_codes``), to a
+    coefficient: an ``int``, or a ``_Gaussian`` integer for one with an
+    imaginary part.  tau is a trace, so a cyclic rotation of a sequence of blocks
     has the same moment, and (lam*q)^j = D_a^(j/a) is summed over necklaces
     (rotation classes) of j/a blocks: each necklace's word is counted once,
     weighted by its number of rotations, and no word is joined for a
@@ -283,50 +284,37 @@ def _brute_moments(p: NCPolynomial, orders: range) -> List[Scalar]:
     if p.is_zero() or not orders:
         return [ZERO] * len(orders)
     lam, terms = p.integer_terms()
-    gaussian = any(im for _, _, im in terms)
     code = _letter_codes({x for w, _, _ in terms for x in w})
-    if gaussian:
-        mul, times, one = _mul_gaussian, _gaussian_times, (1, 0)
-        base = {"".join(map(code.__getitem__, w)): (re, im) for w, re, im in terms}
-    else:
-        mul, times, one = _mul_int, operator.mul, 1
-        base = {"".join(map(code.__getitem__, w)): re for w, re, _ in terms}
-    constant = base.pop("", None)  # lam*c
-    if constant is None:
-        c_re = c_im = 0
-    elif gaussian:
-        c_re, c_im = constant
-    else:
-        c_re, c_im = constant, 0
+    base = {
+        "".join(map(code.__getitem__, w)): _Gaussian(re, im) if im else re
+        for w, re, im in terms
+    }
+    constant = base.pop("", 0)  # lam*c
     top = orders[-1]
-    # tau((lam*q)^j) as (re, im) pairs of ints, for the j where it is nonzero;
-    # without a constant only the orders asked for are summed
-    sums = {0: (1, 0)}
+    # tau((lam*q)^j) for the j where it is nonzero; without a constant only
+    # the orders asked for are summed
+    sums = {0: 1}
     if base:
-        blocks = [{"": one}, base]
-        for j in orders if constant is None else range(1, top + 1):
-            re, im = _power_sum(blocks, j, mul, times, gaussian)
-            if re or im:
-                sums[j] = (re, im)
-    powers = [(1, 0)]  # (lam*c)^k
+        blocks = [{"": 1}, base]
+        for j in range(1, top + 1) if constant else orders:
+            total = _power_sum(blocks, j)
+            if total:
+                sums[j] = total
+    powers = [1]  # (lam*c)^k
     for _ in range(top):
-        a, b = powers[-1]
-        powers.append((a * c_re - b * c_im, a * c_im + b * c_re))
+        powers.append(powers[-1] * constant)
     values = []
     for m in orders:
-        re = im = 0
-        for j, (s_re, s_im) in sums.items():
-            a, b = powers[m - j] if j <= m else (0, 0)
-            if a or b:
-                k = math.comb(m, j)
-                re += k * (a * s_re - b * s_im)
-                im += k * (a * s_im + b * s_re)
-        values.append(from_ints(re, im, lam**m))
+        total = sum(
+            math.comb(m, j) * powers[m - j] * s for j, s in sums.items() if j <= m
+        )
+        values.append(from_ints(total.real, total.imag, lam**m))
     return values
 
 
-def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
-    """tau((lam*q)^m) times lam^m, as an ``(re, im)`` pair of ``int``s.
+def _power_sum(blocks: List[Dict[str, object]], m: int):
+    """tau((lam*q)^m) times lam^m: an ``int``, or a ``_Gaussian`` once a
+    term with an imaginary part joins the sum.
 
     ``blocks`` holds the blocks (lam*q)^0, (lam*q)^1 and whatever powers
     earlier orders built; ``_block_length`` extends it and picks the block
@@ -354,24 +342,21 @@ def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
     """
     known = _pairing_table()
     get = known.get
-    re = im = 0
-    a = _block_length(m, blocks, mul)
+    total = 0
+    a = _block_length(m, blocks)
     if a == m:
-        for word, c in mul(blocks[m // 2], blocks[(m + 1) // 2]).items():
+        for word, c in _mul(blocks[m // 2], blocks[(m + 1) // 2]).items():
             if len(word) & 1:
                 continue
             k = get(word)
             if k is None:
                 k = _pairing_count(word, known)
-            if k and gaussian:
-                re += k * c[0]
-                im += k * c[1]
-            elif k:
-                re += k * c
-        return re, im
+            if k:
+                total += k * c
+        return total
     n, words, coeffs = m // a, list(blocks[a]), list(blocks[a].values())
     if n & 1 and all(len(word) & 1 for word in words):
-        return 0, 0  # every word joins an odd number of odd-length blocks
+        return 0  # every word joins an odd number of odd-length blocks
     # each block's letters of odd multiplicity, as bits: a word whose blocks
     # do not cancel them all has an odd letter and count 0
     bit = {x: 1 << i for i, x in enumerate(set(chain.from_iterable(words)))}
@@ -386,7 +371,7 @@ def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
     repeats = [0] + [0 if n % p else n // p for p in range(1, n)]
     parity = [0] * n
     joined = [""] * n
-    coefficient = [blocks[0][""]] * n  # the empty product: 1 or (1, 0)
+    coefficient = [1] * n
     seq = [0] * n
     period, checked, built = 1, 0, 0
     while True:
@@ -402,7 +387,7 @@ def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
         while built < target:
             x = seq[built]
             joined[built + 1] = joined[built] + words[x]
-            coefficient[built + 1] = times(coefficient[built], coeffs[x])
+            coefficient[built + 1] = coefficient[built] * coeffs[x]
             built += 1
         if r:
             word = joined[period] * r
@@ -410,29 +395,19 @@ def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
             if k is None:
                 k = _pairing_count(word, known)
             if k:
-                c = reduce(times, [coefficient[period]] * r)
-                if gaussian:
-                    re += period * k * c[0]
-                    im += period * k * c[1]
-                else:
-                    re += period * k * c
+                total += period * k * reduce(operator.mul, [coefficient[period]] * r)
         for x in above[first:]:
             word = joined[last] + words[x]
             k = get(word)
             if k is None:
                 k = _pairing_count(word, known)
             if k:
-                c = times(coefficient[last], coeffs[x])
-                if gaussian:
-                    re += n * k * c[0]
-                    im += n * k * c[1]
-                else:
-                    re += n * k * c
+                total += n * k * (coefficient[last] * coeffs[x])
         i = last - 1
         while seq[i] == top:
             i -= 1
             if i < 0:
-                return re, im
+                return total
         seq[i] += 1
         period = i + 1
         for j in range(period, n):
@@ -443,12 +418,12 @@ def _power_sum(blocks: List[Dict[str, object]], m: int, mul, times, gaussian):
             built = i
 
 
-def _block_length(m: int, blocks: List[Dict[str, object]], mul) -> int:
+def _block_length(m: int, blocks: List[Dict[str, object]]) -> int:
     """The block length a whose sum for the m-th power costs the least.
 
     ``blocks`` holds (lam*q)^0, (lam*q)^1 and any powers an earlier order
     built; each step past those appends the next power, as a product by
-    ``mul``, up to (lam*q)^ceil(m/2).  With |D_a| words in (lam*q)^a, and
+    ``_mul``, up to (lam*q)^ceil(m/2).  With |D_a| words in (lam*q)^a, and
     the cost counted in words:
 
     * a divisor a <= m/2 of m leaves about |D_a|^(m/a) * a/m necklaces of
@@ -467,7 +442,7 @@ def _block_length(m: int, blocks: List[Dict[str, object]], mul) -> int:
     best_a = best = None  # best: a cost times m
     for a in range(1, half + 1):
         if a == len(blocks):
-            blocks.append(mul(blocks[a - 1], blocks[1]))
+            blocks.append(_mul(blocks[a - 1], blocks[1]))
         size = len(blocks[a])
         if a <= h and m % a == 0:
             cost = NECKLACE_COST * size ** (m // a) * a
@@ -484,35 +459,46 @@ def _block_length(m: int, blocks: List[Dict[str, object]], mul) -> int:
     return best_a
 
 
-def _gaussian_times(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-    """Product of two Gaussian integers given as ``(re, im)`` pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+class _Gaussian:
+    """A Gaussian integer ``real + imag*i``, for the coefficients of a
+    Gaussian input that have an imaginary part; real ones stay ``int``s.
+
+    Its parts are named like an ``int``'s ``real`` and ``imag``, so a sum
+    of either kind unpacks the same way.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            return _Gaussian(self.real + other, self.imag)
+        return _Gaussian(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            return _Gaussian(self.real * other, self.imag * other)
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _Gaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
 
 
-def _mul_int(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:
-    """Product of two integer polynomials as word -> int maps."""
-    out: Dict[str, int] = {}
+def _mul(a: Dict[str, object], b: Dict[str, object]) -> Dict[str, object]:
+    """Product of two polynomials as word -> ``int`` or ``_Gaussian`` maps."""
+    out: Dict[str, object] = {}
     get = out.get
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
             out[w] = get(w, 0) + ca * cb
-    return out
-
-
-def _mul_gaussian(
-    a: Dict[str, Tuple[int, int]], b: Dict[str, Tuple[int, int]]
-) -> Dict[str, Tuple[int, int]]:
-    """Product of two Gaussian-integer polynomials, coefficients (re, im)."""
-    out: Dict[str, Tuple[int, int]] = {}
-    get = out.get
-    for wa, (ar, ai) in a.items():
-        for wb, (br, bi) in b.items():
-            w = wa + wb
-            prev = get(w)
-            re = ar * br - ai * bi
-            im = ar * bi + ai * br
-            out[w] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     return out
 
 

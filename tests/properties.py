@@ -536,8 +536,8 @@ def check_brute_moments(cases=150, seed=121, max_order=6, cap=10**4):
     plan = oracle._block_length
     plans = []
 
-    def recorded(m, blocks, mul):
-        plans.append((m, plan(m, blocks, mul)))
+    def recorded(m, blocks):
+        plans.append((m, plan(m, blocks)))
         return plans[-1][1]
 
     oracle._block_length = recorded
@@ -573,12 +573,12 @@ def brute_moment_planned(p, m, block_length=None):
     plan = oracle._block_length
     used = []
 
-    def fixed(order, blocks, mul):
+    def fixed(order, blocks):
         if order != m or block_length is None:
-            a = plan(order, blocks, mul)
+            a = plan(order, blocks)
         else:
             while len(blocks) <= (order + 1) // 2:
-                blocks.append(mul(blocks[-1], blocks[1]))
+                blocks.append(oracle._mul(blocks[-1], blocks[1]))
             a = block_length
         if order == m:
             used.append(a)

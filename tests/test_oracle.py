@@ -1,6 +1,5 @@
 import functools
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -184,52 +183,59 @@ def test_pairing_cache_misses_one_per_rotation_class():
     assert len(oracle._pairing_table()) <= 6485 // 4
 
 
-def _plain_power_sum(block, n, times, one):
+def _times(a, b):
+    """Product of two Gaussian integers given as ``(re, im)`` pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _plain_power_sum(block, n):
     """The sum over all len(block)^n sequences of n block words of the
-    coefficient product times ``word_moment`` of the joined word."""
+    coefficient product times ``word_moment`` of the joined word, on
+    ``(re, im)`` coefficient pairs."""
     re = im = 0
     for seq in itertools.product(block.items(), repeat=n):
         word = "".join(w for w, _ in seq)
         k = word_moment(tuple(map(ord, word)), max_length=len(word)).re
-        c = functools.reduce(times, (c for _, c in seq), one)
-        if type(c) is tuple:
-            re, im = re + k * c[0], im + k * c[1]
-        else:
-            re += k * c
+        c = functools.reduce(_times, (c for _, c in seq), (1, 0))
+        re, im = re + k * c[0], im + k * c[1]
     return re, im
+
+
+def _oracle_power_sum(block, n):
+    """``oracle._power_sum`` of the ``(re, im)`` coefficient pairs of
+    ``block``, as an ``(re, im)`` pair: real coefficients go in as ``int``s."""
+    coefficients = {w: oracle._Gaussian(re, im) if im else re for w, (re, im) in block.items()}
+    got = oracle._power_sum([{"": 1}, coefficients], n)
+    return got.real, got.imag
 
 
 def test_necklaces_one_per_rotation_class(monkeypatch):
     # the necklace walk counts one word per rotation class, weighted by its
     # rotations, and drops the words with a letter of odd multiplicity: on
     # blocks of length 1 it equals the plain sum over all block sequences
-    monkeypatch.setattr(oracle, "_block_length", lambda m, blocks, mul: 1)
+    monkeypatch.setattr(oracle, "_block_length", lambda m, blocks: 1)
     families = [
         ["\x01", "\x02", "\x03"],  # odd-length words, bits that never cancel
         ["\x01\x02", "\x02\x01", "\x01\x02\x02\x01"],  # bits cancel in pairs
         ["\x01\x02\x01", "\x02", "\x01\x01"],  # equal bits, other words
         ["\x01\x02", "\x02\x03", "\x03\x01"],  # bits cancel three at a time
     ]
-    integers, gaussians = [2, -3, 5], [(1, 2), (-3, 1), (2, -1)]
+    integers, gaussians = [(2, 0), (-3, 0), (5, 0)], [(1, 2), (-3, 1), (2, -1)]
     oracle._pairing_table.cache_clear()
     for words in families:
         for k in range(1, 4):
-            for coeffs, mul, times, one in (
-                (integers, oracle._mul_int, operator.mul, 1),
-                (gaussians, oracle._mul_gaussian, oracle._gaussian_times, (1, 0)),
-            ):
+            for coeffs in (integers, gaussians):
                 block = dict(zip(words[:k], coeffs))
                 for n in range(1, 9):
-                    got = oracle._power_sum([{"": one}, block], n, mul, times, one != 1)
-                    assert got == _plain_power_sum(block, n, times, one), (words, k, n, coeffs)
+                    got = _oracle_power_sum(block, n)
+                    assert got == _plain_power_sum(block, n), (words, k, n, coeffs)
     # 300 words at n = 2, most of them sharing their odd-letter bits with many
     rng = random.Random(27)
     block = {}
     while len(block) < 300:
         word = "".join(rng.choice("\x01\x02\x03\x04") for _ in range(rng.randint(1, 5)))
-        block[word] = rng.randint(-9, 9) or 1
-    got = oracle._power_sum([{"": 1}, block], 2, oracle._mul_int, operator.mul, False)
-    assert got == _plain_power_sum(block, 2, operator.mul, 1)
+        block[word] = (rng.randint(-9, 9) or 1, 0)
+    assert _oracle_power_sum(block, 2) == _plain_power_sum(block, 2)
     oracle._pairing_table.cache_clear()
 
 
