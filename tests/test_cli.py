@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,17 @@ def test_non_self_adjoint_warning(capsys):
     assert code == 0
     doc = json.loads(out)
     assert any("self-adjoint" in w for w in doc["warnings"])
+
+
+def test_non_self_adjoint_warning_text(capsys):
+    warning = (
+        "warning: polynomial is not self-adjoint; moments may have nonzero "
+        "imaginary part"
+    )
+    for command in ("moments", "verify"):
+        code, out, _ = run(capsys, command, "--poly", "x1*x2", "--max-order", "2")
+        assert code == 0, command
+        assert out.splitlines()[1 if command == "verify" else 2] == warning, command
 
 
 def test_parse_error_exit_2(capsys):
@@ -519,6 +531,20 @@ def test_bench_text(capsys):
     assert "engine log-log slope" in out
 
 
+def test_bench_csv(capsys):
+    code, out, _ = run(
+        capsys, "bench", "--poly", "x1*x2 + x2*x1", "--sweep", "2,24",
+        "--format", "csv", "--expansion-cap", "1000",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "M,engine_seconds,naive_seconds,naive_capped"
+    assert re.fullmatch(r"2,\d+\.\d{6},\d+\.\d{6},0", lines[1]), lines[1]
+    # 2^24 > 1000: the naive field is empty and the capped flag 1
+    assert re.fullmatch(r"24,\d+\.\d{6},,1", lines[2]), lines[2]
+    assert len(lines) == 3
+
+
 def test_bench_bad_sweep(capsys):
     code, _, _ = run(capsys, "bench", "--poly", "x1", "--sweep", "2,oops")
     assert code == 2
@@ -551,6 +577,24 @@ def test_verify_csv(capsys):
     assert lines[2] == "2,1,1,1"
 
 
+def test_verify_csv_mismatch_row(capsys, monkeypatch):
+    import freemoments.cli as cli_module
+
+    real = cli_module.brute_moments
+
+    def stand_in(p, max_order, expansion_cap):
+        values = real(p, max_order, expansion_cap)
+        values[1] = Scalar(7)  # tau(s^2) is 1
+        return values
+
+    monkeypatch.setattr(cli_module, "brute_moments", stand_in)
+    code, out, _ = run(
+        capsys, "verify", "--poly", "x1", "--max-order", "3", "--format", "csv"
+    )
+    assert code == 1
+    assert out.splitlines() == ["m,engine,oracle,match", "1,0,0,1", "2,1,7,0", "3,0,0,1"]
+
+
 def test_internal_error_exit_3(capsys, monkeypatch):
     import freemoments.cli as cli_module
 
@@ -575,6 +619,23 @@ def test_kernel_invariant_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
     assert code == 3
     assert "not nilpotent" in err
+
+
+def test_nonzero_constant_at_start_exit_3(capsys, monkeypatch):
+    import freemoments._kernel as kernel_module
+
+    def constant(mats, dim, n_coeffs, modulus=0, grading=None):
+        # every path out of the start state carries z, so z^0 must read 0
+        return [1] + [0] * (n_coeffs - 1)
+
+    monkeypatch.setattr(kernel_module, "solve", constant)
+    code, out, err = run(capsys, "moments", "--poly", "x1", "--max-order", "2")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "internal error: iteration produced a nonzero constant term at entry "
+        "(start, start)\n"
+    )
 
 
 def test_out_of_memory_exit_5(capsys, monkeypatch):
