@@ -340,19 +340,18 @@ def reduce_rep(rep: LinearRepresentation, truncation_order: int) -> ReducedMats:
 
 
 def _sparse_rows(mats: ReducedMats):
-    """Reduced matrices as ``_sweep`` input: per-variable sparse rows, with the
-    coefficients as plain ints when every one is a real integer and as
-    Scalars otherwise."""
-    as_int = all(
-        c.is_real() and c.re.denominator == 1
-        for mat in mats for row in mat for entry in row for c in entry.coeffs
-    )
+    """Reduced matrices as ``_sweep`` input: per-variable sparse rows, each
+    coefficient a plain int when it is a real integer and a Scalar
+    otherwise."""
     sparse = []
     for mat in mats:
         rows = {}
         for j, row in enumerate(mat):
             entries = [
-                (t, tuple(c.re.numerator for c in e.coeffs) if as_int else e.coeffs)
+                (t, tuple(
+                    c if c.im or c.re.denominator != 1 else c.re.numerator
+                    for c in e.coeffs
+                ))
                 for t, e in enumerate(row)
                 if e
             ]
