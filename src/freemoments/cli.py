@@ -283,7 +283,7 @@ class BenchReport(NamedTuple):
 def complexity_probe(
     p: NCPolynomial,
     orders: Sequence[int],
-    expansion_cap: int = 10**6,
+    expansion_cap: int = DEFAULT_EXPANSION_CAP,
 ) -> BenchReport:
     """Wall-clock engine timings over a sweep of orders, with the naive
     oracle timed alongside until it hits the term cap.
@@ -310,16 +310,13 @@ def complexity_probe(
         rows.append(BenchRow(m, engine_seconds, naive_seconds, naive_capped))
 
     slope = None
-    pts = [
-        (math.log(r.max_order), math.log(max(r.engine_seconds, 1e-9)))
-        for r in rows
-    ]
-    if len(pts) >= 2:
-        xbar = sum(x for x, _ in pts) / len(pts)
-        ybar = sum(y for _, y in pts) / len(pts)
-        den = sum((x - xbar) ** 2 for x, _ in pts)
-        if den > 0:
-            slope = sum((x - xbar) * (y - ybar) for x, y in pts) / den
+    if len({r.max_order for r in rows}) >= 2:
+        import statistics  # only bench fits a slope
+
+        slope = statistics.linear_regression(
+            [math.log(r.max_order) for r in rows],
+            [math.log(max(r.engine_seconds, 1e-9)) for r in rows],
+        ).slope
     return BenchReport(tuple(rows), slope)
 
 

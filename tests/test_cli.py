@@ -139,6 +139,7 @@ def test_moments_does_not_import_reference():
         "loaded = set(sys.modules) - before\n"
         "assert 'dataclasses' not in loaded\n"
         "assert 'freemoments.reference' not in loaded\n"
+        "assert 'statistics' not in loaded  # only bench fits a slope\n"
         "from freemoments import *\n"
         "missing = [n for n in freemoments.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"

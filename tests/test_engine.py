@@ -756,6 +756,8 @@ def test_complexity_probe_shape():
     assert capped.rows[0].naive_capped
     assert capped.rows[0].naive_seconds is None
     assert capped.engine_slope is None  # one point fits no slope
+    # nor do two runs at one order
+    assert complexity_probe(p, [4, 4], expansion_cap=10**4).engine_slope is None
 
 
 def test_oracle_equivalence_suite():
