@@ -195,7 +195,7 @@ def _plain_power_sum(block, n):
     re = im = 0
     for seq in itertools.product(block.items(), repeat=n):
         word = "".join(w for w, _ in seq)
-        k = word_moment(tuple(map(ord, word)), max_length=len(word)).re
+        k = word_moment(tuple(map(ord, word)), max_length=len(word)).re_num
         c = functools.reduce(_times, (c for _, c in seq), (1, 0))
         re, im = re + k * c[0], im + k * c[1]
     return re, im
