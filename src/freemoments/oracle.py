@@ -12,13 +12,14 @@ deliberately exponential:
   by lam^m once.  Each coefficient is an ``int``, or a ``_Gaussian``
   integer for a term with an imaginary part, on one arithmetic path.  The
   constant c is central, so tau((lam*p)^m) is the binomial sum of
-  C(m, j) (lam*c)^(m-j) tau((lam*q)^j).  tau is a trace and non-crossing pairings are invariant
-  under rotation (Nica-Speicher, Lectures on the Combinatorics of Free
-  Probability, 2006, Lect. 8 and 22), so the sequences are split into
-  blocks (lam*q)^a and each rotation class of blocks, a necklace, is
-  counted once, weighted by its number of rotations, in one walk per order
-  that counts in place.  A necklace whose word has a letter of odd
-  multiplicity has count 0; the walk joins no word for it.
+  C(m, j) (lam*c)^(m-j) tau((lam*q)^j).  tau is a trace and non-crossing
+  pairings are invariant under rotation (Nica-Speicher, Lectures on the
+  Combinatorics of Free Probability, 2006, Lect. 8 and 22), so the
+  sequences are split into blocks (lam*q)^a and each rotation class of
+  blocks, a necklace, is counted once, weighted by its number of
+  rotations, in one walk per order that counts in place.  A necklace
+  whose word has a letter of odd multiplicity has count 0; the walk joins
+  no word for it.
   ``brute_moments`` returns every order up to M from one call, which shares
   the blocks and the sums of q's powers across the orders;
 * inside the oracle a word is a ``str`` of dense letter codes: the letters
@@ -253,20 +254,21 @@ def brute_moment(
     the engine avoids.  Requests with (m_p)^m over ``expansion_cap`` are
     refused (``check_expansion_cap``), m_p counting p's constant too.
 
-    The sum runs on exact integers only.  With lam and the integer coefficients
-    of lam*p from ``NCPolynomial.integer_terms``, write lam*p = lam*c +
-    lam*q with c the constant.  c is central, so by the binomial theorem
+    The sum runs on integers only, Gaussian ones for complex terms.  With
+    lam and the integer coefficients of lam*p from
+    ``NCPolynomial.integer_terms``, write lam*p = lam*c + lam*q with c the
+    constant.  c is central, so by the binomial theorem
     tau((lam*p)^m) = sum_j C(m, j) (lam*c)^(m-j) tau((lam*q)^j), over the
     j <= m with tau((lam*q)^j) != 0, and only q's t terms are expanded:
     t^j sequences, not (t+1)^m.  With no constant only j = m is summed.
     For each j the blocks D_a = (lam*q)^a, up to a = ceil(j/2), are maps
     from word, a string of dense letter codes (``_letter_codes``), to a
     coefficient: an ``int``, or a ``_Gaussian`` integer for one with an
-    imaginary part.  tau is a trace, so a cyclic rotation of a sequence of blocks
-    has the same moment, and (lam*q)^j = D_a^(j/a) is summed over necklaces
-    (rotation classes) of j/a blocks: each necklace's word is counted once,
-    weighted by its number of rotations, and no word is joined for a
-    necklace with a letter of odd multiplicity.
+    imaginary part.  tau is a trace, so a cyclic rotation of a sequence of
+    blocks has the same moment, and (lam*q)^j = D_a^(j/a) is summed over
+    necklaces (rotation classes) of j/a blocks: each necklace's word is
+    counted once, weighted by its number of rotations, and no word is
+    joined for a necklace with a letter of odd multiplicity.
     The plan (``_block_length``) picks the a that costs the least; a = j
     counts the words of D_j one by one.  The integer sum is divided by
     lam^m once at the end.
@@ -395,7 +397,8 @@ def _power_sum(blocks: List[Dict[str, object]], m: int):
             if k is None:
                 k = _pairing_count(word, known)
             if k:
-                total += period * k * reduce(operator.mul, [coefficient[period]] * r)
+                c = reduce(operator.mul, [coefficient[period]] * r)
+                total += period * k * c
         for x in above[first:]:
             word = joined[last] + words[x]
             k = get(word)
@@ -460,12 +463,9 @@ def _block_length(m: int, blocks: List[Dict[str, object]]) -> int:
 
 
 class _Gaussian:
-    """A Gaussian integer ``real + imag*i``, for the coefficients of a
-    Gaussian input that have an imaginary part; real ones stay ``int``s.
-
-    Its parts are named like an ``int``'s ``real`` and ``imag``, so a sum
-    of either kind unpacks the same way.
-    """
+    """A Gaussian integer ``real + imag*i``, for a coefficient with an
+    imaginary part; real ones stay ``int``s.  The parts are named as an
+    ``int``'s, so a sum of either kind unpacks the same way."""
 
     __slots__ = ("real", "imag")
 

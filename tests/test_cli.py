@@ -162,9 +162,6 @@ def test_non_self_adjoint_warning(capsys):
     assert code == 0
     doc = json.loads(out)
     assert any("self-adjoint" in w for w in doc["warnings"])
-
-
-def test_non_self_adjoint_warning_text(capsys):
     warning = (
         "warning: polynomial is not self-adjoint; moments may have nonzero "
         "imaginary part"
@@ -568,7 +565,7 @@ def test_max_order_validation(capsys):
         assert "between 1 and 10000" in err, argv
 
 
-def test_verify_csv(capsys):
+def test_verify_csv(capsys, monkeypatch):
     code, out, _ = run(
         capsys, "verify", "--poly", "x1", "--max-order", "4", "--format", "csv"
     )
@@ -577,8 +574,6 @@ def test_verify_csv(capsys):
     assert lines[0] == "m,engine,oracle,match"
     assert lines[2] == "2,1,1,1"
 
-
-def test_verify_csv_mismatch_row(capsys, monkeypatch):
     import freemoments.cli as cli_module
 
     real = cli_module.brute_moments
