@@ -1,7 +1,8 @@
 """Brute-force ground truth for moments of polynomials in free semicirculars.
 
-Everything here is independent of the matrix-iteration engine and
-deliberately exponential:
+This module holds what the CLI's ``verify`` and ``bench`` run, the free
+cumulants of the text output and ``word_moment``.  Everything here is
+independent of the matrix-iteration engine and deliberately exponential:
 
 * moments of a single word come from counting non-crossing pairings whose
   paired positions carry equal letters (mixed free cumulants vanish and the
@@ -33,10 +34,7 @@ deliberately exponential:
   word whose subwords pass ``PAIRING_STACK_CAP`` letters with
   ``PairingCapExceededError``, a ``CapExceededError`` that no option lifts;
 * the moment <-> free-cumulant conversion is one first-block recursion,
-  run forwards or backwards;
-* a second oracle iterates the one-equation algebraic system
-  Y <- sum_i (X_i (Y + 1))^2 in the word-truncated series ring and must
-  reproduce the pairing counts.
+  run forwards or backwards.
 """
 
 from __future__ import annotations
@@ -47,18 +45,14 @@ import sys
 from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .errors import CapExceededError, PairingCapExceededError
 from .ncpoly import NCPolynomial, Word
 from .scalar import ONE, ZERO, Scalar, from_ints
 
-Pairing = Tuple[Tuple[int, int], ...]
-
-PAIRING_CAP = 8  # enumerate at most 2k = 16 points
 WORD_MOMENT_CAP = 16
 CUMULANT_CAP = 12
-PSEMI_CAP = 12
 DEFAULT_EXPANSION_CAP = 10**6
 PAIRING_CACHE_MAX = 1 << 16  # words; the table is emptied past this before a new word
 PAIRING_STACK_CAP = 1 << 22  # letters of subwords one word's count may add to the table
@@ -72,32 +66,6 @@ NECKLACE_COST = 2
 def catalan(k: int) -> int:
     """The k-th Catalan number C(2k, k) / (k + 1)."""
     return math.comb(2 * k, k) // (k + 1)
-
-
-def enumerate_nc_pairings(k: int) -> List[Pairing]:
-    """All non-crossing perfect pairings of {1..2k}, Catalan(k) of them.
-
-    Deterministic order: position 1 pairs with 2, 4, ..., 2k in turn, with
-    interior pairings enumerated before exterior ones.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > PAIRING_CAP:
-        raise CapExceededError(
-            f"refusing to enumerate {catalan(k)} pairings (k={k} exceeds "
-            f"cap {PAIRING_CAP})"
-        )
-    return list(_pairings(1, 2 * k))
-
-
-def _pairings(lo: int, hi: int):
-    if lo > hi:
-        yield ()
-        return
-    for mate in range(lo + 1, hi + 1, 2):
-        for inner in _pairings(lo + 1, mate - 1):
-            for outer in _pairings(mate + 1, hi):
-                yield ((lo, mate),) + inner + outer
 
 
 @lru_cache(maxsize=1)
@@ -181,11 +149,10 @@ def word_moment(word: Word, max_length: int = WORD_MOMENT_CAP) -> Scalar:
     """tau(F(s_1,...,s_n)) for a word F: a nonnegative integer.
 
     Zero for odd lengths, one for the empty word.  ``max_length`` guards
-    against accidental huge inputs; callers that genuinely need longer words
-    (the naive-expansion demo) may raise it.  The count comes from
-    ``_pairing_count`` on the shared table, the letters coded as a string
-    (``_letter_codes``), so it can also be refused with
-    ``PairingCapExceededError`` (see ``PAIRING_STACK_CAP``).
+    against accidental huge inputs; a caller that needs a longer word
+    raises it.  The count comes from ``_pairing_count`` on the shared table,
+    the letters coded as a string (``_letter_codes``), so it can also be
+    refused with ``PairingCapExceededError`` (see ``PAIRING_STACK_CAP``).
     """
     word = tuple(word)
     if len(word) > max_length:
@@ -554,67 +521,3 @@ def _first_block(given: Sequence[Scalar], to_moments: bool) -> List[Scalar]:
             ms.append(given[n - 1])
             ks.append(given[n - 1] - rest)
     return (ms if to_moments else ks)[1:]
-
-
-# -- second oracle: the semicircular algebraic system ------------------------------
-
-
-def _mul_word_truncated(
-    a: Dict[Word, int], b: Dict[Word, int], max_length: int
-) -> Dict[Word, int]:
-    out: Dict[Word, int] = {}
-    by_len: Dict[int, List[Tuple[Word, int]]] = {}
-    for wb, cb in b.items():
-        by_len.setdefault(len(wb), []).append((wb, cb))
-    for wa, ca in a.items():
-        room = max_length - len(wa)
-        if room < 0:
-            continue
-        for length, items in by_len.items():
-            if length > room:
-                continue
-            for wb, cb in items:
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
-    return out
-
-
-def psemi_table(max_length: int, n_vars: int) -> Dict[Word, int]:
-    """Coefficients of the semicircular moment series on words up to a length.
-
-    Iterates Y <- sum_i (X_i (Y + 1))^2 from zero, ``max_length`` times, in
-    the ring truncated at word length ``max_length``; the resulting
-    coefficient of F equals tau(F(s_1,...,s_n)).
-    """
-    if max_length > PSEMI_CAP:
-        raise CapExceededError(
-            f"word length {max_length} exceeds cap {PSEMI_CAP}"
-        )
-    y: Dict[Word, int] = {}
-    for _ in range(max_length):
-        y_plus_1 = dict(y)
-        y_plus_1[()] = y_plus_1.get((), 0) + 1
-        new_y: Dict[Word, int] = {}
-        for i in range(1, n_vars + 1):
-            shifted = {
-                (i,) + w: c for w, c in y_plus_1.items() if len(w) < max_length
-            }
-            for w, c in _mul_word_truncated(shifted, shifted, max_length).items():
-                new_y[w] = new_y.get(w, 0) + c
-        y = new_y
-    return y
-
-
-def psemi_coefficient(word: Word, degree_cap: int) -> Scalar:
-    """Coefficient of F in the iterated semicircular system; equals
-    ``word_moment(F)`` (the unit word is not stored and reads as 0)."""
-    word = tuple(word)
-    if degree_cap > PSEMI_CAP:
-        raise CapExceededError(f"degree cap {degree_cap} exceeds {PSEMI_CAP}")
-    if len(word) > degree_cap:
-        raise CapExceededError(
-            f"word of length {len(word)} exceeds degree cap {degree_cap}"
-        )
-    n_vars = max(word, default=1)
-    table = psemi_table(degree_cap, n_vars)
-    return Scalar(table.get(word, 0))

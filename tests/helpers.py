@@ -3,7 +3,9 @@
 The series expander here is deliberately separate from the package's linear
 representation code: it manipulates word -> z-polynomial dictionaries
 directly, so representation soundness tests compare two genuinely different
-computations.
+computations.  Likewise the enumerated non-crossing pairings and the
+semicircular algebraic system are a second oracle for the package's pairing
+counter.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from freemoments import NCPolynomial, Scalar, ZPoly
+from freemoments import NCPolynomial, Scalar
 from freemoments.reference import (
     LinearRepresentation,
+    ZPoly,
     rep_linear_combination,
     rep_product,
     rep_star,
@@ -174,6 +177,73 @@ def random_construction(
 def all_words(n_vars: int, max_len: int):
     for length in range(max_len + 1):
         yield from itertools.product(range(1, n_vars + 1), repeat=length)
+
+
+# -- independent oracles: pairings enumerated, and the semicircular system -------
+
+Pairing = Tuple[Tuple[int, int], ...]
+
+
+def enumerate_nc_pairings(k: int) -> List[Pairing]:
+    """All non-crossing perfect pairings of {1..2k}, Catalan(k) of them.
+
+    Deterministic order: position 1 pairs with 2, 4, ..., 2k in turn, with
+    interior pairings enumerated before exterior ones.
+    """
+    return list(_pairings(1, 2 * k))
+
+
+def _pairings(lo: int, hi: int):
+    if lo > hi:
+        yield ()
+        return
+    for mate in range(lo + 1, hi + 1, 2):
+        for inner in _pairings(lo + 1, mate - 1):
+            for outer in _pairings(mate + 1, hi):
+                yield ((lo, mate),) + inner + outer
+
+
+def _mul_word_truncated(
+    a: Dict[Word, int], b: Dict[Word, int], max_length: int
+) -> Dict[Word, int]:
+    out: Dict[Word, int] = {}
+    by_len: Dict[int, List[Tuple[Word, int]]] = {}
+    for wb, cb in b.items():
+        by_len.setdefault(len(wb), []).append((wb, cb))
+    for wa, ca in a.items():
+        room = max_length - len(wa)
+        if room < 0:
+            continue
+        for length, items in by_len.items():
+            if length > room:
+                continue
+            for wb, cb in items:
+                w = wa + wb
+                out[w] = out.get(w, 0) + ca * cb
+    return out
+
+
+def psemi_table(max_length: int, n_vars: int) -> Dict[Word, int]:
+    """Coefficients of the semicircular moment series on words up to a length.
+
+    Iterates Y <- sum_i (X_i (Y + 1))^2 from zero, ``max_length`` times, in
+    the ring truncated at word length ``max_length``; the resulting
+    coefficient of F equals tau(F(s_1,...,s_n)).  The unit word is not
+    stored.
+    """
+    y: Dict[Word, int] = {}
+    for _ in range(max_length):
+        y_plus_1 = dict(y)
+        y_plus_1[()] = y_plus_1.get((), 0) + 1
+        new_y: Dict[Word, int] = {}
+        for i in range(1, n_vars + 1):
+            shifted = {
+                (i,) + w: c for w, c in y_plus_1.items() if len(w) < max_length
+            }
+            for w, c in _mul_word_truncated(shifted, shifted, max_length).items():
+                new_y[w] = new_y.get(w, 0) + c
+        y = new_y
+    return y
 
 
 # -- an independent dense solve of the kernel's fixed point --------------------

@@ -14,19 +14,17 @@ from fractions import Fraction
 from freemoments import (
     NCPolynomial,
     Scalar,
-    ZPoly,
     brute_moment,
     catalan,
-    enumerate_nc_pairings,
     free_cumulants,
     moments,
     moments_from_cumulants,
     oracle,
     parse_polynomial,
-    psemi_table,
     word_moment,
 )
 from freemoments.reference import (
+    ZPoly,
     build_zq_star,
     coefficient,
     iterate_system,
@@ -38,8 +36,10 @@ from freemoments.oracle import brute_moments
 
 from helpers import (
     all_words,
+    enumerate_nc_pairings,
     exp_power,
     hankel_leading_minors,
+    psemi_table,
     random_construction,
     random_nonzero_scalar,
     random_poly,
@@ -336,6 +336,10 @@ def check_parser_expression_trees(cases=500, seed=120):
 
 
 def check_multiply_assoc_degree(cases=200, seed=106):
+    """Products are associative and add degrees.  A scalar factor s, an int,
+    a Fraction or a Scalar on either side, and s - p, equal the same
+    operation with the constant polynomial s; a float operand raises
+    TypeError."""
     rng = random.Random(seed)
     for _ in range(cases):
         n_vars = rng.randint(1, 3)
@@ -344,6 +348,22 @@ def check_multiply_assoc_degree(cases=200, seed=106):
         r = random_poly(rng, n_vars, max_terms=2, max_deg=2, allow_frac=True)
         assert (p * q) * r == p * (q * r)
         assert (p * q).degree == p.degree + q.degree
+        scalars = (
+            rng.randint(-4, 4),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+            random_scalar(rng, allow_imag=True, allow_frac=True),
+        )
+        for s in scalars:
+            c = NCPolynomial.constant(n_vars, s)
+            assert p * s == s * p == p.scale(s) == c * p, (p, s)
+            assert s - p == c - p, (p, s)
+        for op in (operator.mul, lambda a, b: b * a, lambda a, b: b - a,
+                   lambda a, b: a.scale(b)):
+            try:
+                op(p, 0.5)
+            except TypeError:
+                continue
+            raise AssertionError(f"float accepted: {p!r}")
 
 
 # -- linrep ---------------------------------------------------------------------------

@@ -15,19 +15,17 @@ from freemoments import (
     CapExceededError,
     Scalar,
     brute_moment,
-    build_zq_star,
     catalan,
     free_cumulants,
     moments,
     parse_polynomial,
-    psemi_table,
     word_moment,
 )
-from freemoments.reference import iterate_system, reduce_rep
+from freemoments.reference import build_zq_star, iterate_system, reduce_rep
 from freemoments.ncpoly import split_constant
 
 import properties
-from helpers import all_words
+from helpers import all_words, psemi_table
 
 
 def _report(number: int, ok: bool, detail: str):

@@ -121,11 +121,18 @@ def test_moments_decimal_alongside(capsys):
 
 def test_moments_does_not_import_reference():
     # a fresh process: ``import freemoments`` loads only the engine path, and
-    # the oracle, the paper's reference route and the CLI load only when one
-    # of their names is asked for; neither loads ``dataclasses`` (which pulls
-    # in ``inspect``, ``ast`` and ``dis``)
+    # the oracle and the CLI load only when one of their names is asked for;
+    # neither loads ``dataclasses`` (which pulls in ``inspect``, ``ast`` and
+    # ``dis``).  No command loads the paper's reference route, which the
+    # package does not export and the tests import by path
+    test_only = (  # the enumerated pairings, the semicircular system, reference
+        "enumerate_nc_pairings", "psemi_table", "psemi_coefficient",
+        "LinearRepresentation", "ZPoly", "build_zq_star", "coefficient",
+        "iterate_system", "reduce_rep", "rep_linear_combination", "rep_product",
+        "rep_star", "rep_variable",
+    )
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import freemoments\n"
         "unwanted = ['dataclasses', 'inspect', 'freemoments.oracle',"
@@ -140,11 +147,21 @@ def test_moments_does_not_import_reference():
         "assert 'dataclasses' not in loaded\n"
         "assert 'freemoments.reference' not in loaded\n"
         "assert 'statistics' not in loaded  # only bench fits a slope\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['verify', '--poly', 'x1*x2 + x2*x1', '--max-order', '4'],\n"
+        "                 ['bench', '--poly', 'x1*x2 + x2*x1', '--sweep', '4']):\n"
+        "        assert freemoments.cli.main(argv) == 0, argv\n"
+        "assert 'freemoments.reference' not in sys.modules\n"
         "from freemoments import *\n"
         "missing = [n for n in freemoments.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"
-        "assert freemoments.ZPoly is freemoments.reference.ZPoly\n"
         "assert freemoments.brute_moment is freemoments.oracle.brute_moment\n"
+        "assert not hasattr(freemoments.oracle, 'psemi_table')\n"
+        "assert not hasattr(freemoments.oracle, 'enumerate_nc_pairings')\n"
+        "from freemoments.reference import ZPoly\n"
+        "assert ZPoly((1,)) * ZPoly.z() == ZPoly.z()\n"
+        f"for name in {test_only!r}:\n"
+        "    assert not hasattr(freemoments, name), name\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(freemoments.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

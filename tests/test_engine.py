@@ -9,9 +9,7 @@ import pytest
 from freemoments import (
     NCPolynomial,
     Scalar,
-    ZPoly,
     brute_moment,
-    build_zq_star,
     catalan,
     free_cumulants,
     moments,
@@ -21,7 +19,14 @@ from freemoments import _kernel
 from freemoments.cli import complexity_probe
 from freemoments.engine import MAX_ORDER, MomentVector, build_residual_rows
 from freemoments.ncpoly import split_constant
-from freemoments.reference import _sweep, iterate_system, reduce_rep, rep_variable
+from freemoments.reference import (
+    ZPoly,
+    _sweep,
+    build_zq_star,
+    iterate_system,
+    reduce_rep,
+    rep_variable,
+)
 
 import properties
 from helpers import dense_jacobi, dense_solve, kernel_row_features, random_kernel_rows

@@ -5,10 +5,10 @@ from freemoments import (
     NCPolynomial,
     Scalar,
     VariableMismatchError,
-    ZPoly,
     parse_polynomial,
 )
 from freemoments.reference import (
+    ZPoly,
     build_zq_star,
     coefficient,
     rep_linear_combination,

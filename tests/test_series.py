@@ -1,4 +1,5 @@
-from freemoments import Scalar, ZPoly
+from freemoments import Scalar
+from freemoments.reference import ZPoly
 
 import properties
 
