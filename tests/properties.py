@@ -329,6 +329,14 @@ def check_parser_expression_trees(cases=500, seed=120):
         got = parse_polynomial(text, n_vars)
         assert {w: (c.re, c.im) for w, c in got.unordered_terms()} == want, text
         assert got.n_terms == len(want), text
+        # lam*p over the least common denominator, in canonical term order
+        lam = math.lcm(*(x.denominator for c in want.values() for x in c))
+        cleared = [
+            (w, re.numerator * (lam // re.denominator), im.numerator * (lam // im.denominator))
+            for w, (re, im) in sorted(want.items(), key=lambda t: (len(t[0]), t[0]))
+        ]
+        assert got.integer_terms() == (lam, cleared), text
+        assert NCPolynomial(n_vars, {w: Scalar(*c) for w, c in want.items()}) == got, text
         assert got.degree == max(map(len, want), default=0), text
         kinds.add("zero" if not want else "complex" if any(b for _, b in want.values())
                   else "real")

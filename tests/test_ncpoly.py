@@ -161,11 +161,24 @@ def test_split_constant_examples():
     assert q == p
     assert q.coefficient(()) == Scalar(0)
 
+    # the rest is in lowest terms: the constant's denominator goes with it
+    c, q = split_constant(parse_polynomial("1/2 + x1", 1))
+    assert c == Scalar(Fraction(1, 2))
+    assert q == parse_polynomial("x1", 1)
+    assert q.integer_terms() == (1, [((1,), 1, 0)])
+
 
 def test_integer_terms():
     p = parse_polynomial("1/2*x1 + 1/3*i*x2 - 5/6", 2)
     assert p.integer_terms() == (6, [((), -5, 0), ((1,), 3, 0), ((2,), 0, 2)])
     assert NCPolynomial.zero(1).integer_terms() == (1, [])
+    # lam is the least common denominator, and the parts share no factor with it
+    p = parse_polynomial("2/3*x1 + 4/3*x2", 2)
+    assert p.integer_terms() == (3, [((1,), 2, 0), ((2,), 4, 0)])
+    for text in ["1/2*x1 + 1/2*x1", "2*(1/2*x1)", "(1/2 + x1) - 1/2", "(2/4*x1)^1*2"]:
+        p = parse_polynomial(text, 1)
+        assert p.integer_terms() == (1, [((1,), 1, 0)]), text
+        assert p == parse_polynomial("x1", 1) == NCPolynomial.variable(1, 1), text
 
 
 def test_multiply_examples():
@@ -235,6 +248,15 @@ def test_parse_cap_boundaries():
     assert parse_polynomial("(x1+1)*(x1-1)*(x1+x2)^15", 2).n_terms == 2**16
     assert parse_polynomial("(x1*x1 - x1*x1)^100000*x1^10000", 1).is_zero()
     assert parse_polynomial("0*x1^5000*x1^5001", 1).is_zero()
+    # the bit cap reads each coefficient's reduced numerator and denominator:
+    # 1/3 and 1/D have 2 and 14,285 bits, so the 7th power's 99,995 bits
+    # pass, though 3*D, the common denominator, has 14,286 bits
+    big = str(2**14284)
+    assert len(big) == MAX_DIGITS
+    p = parse_polynomial(f"(1/3 + 1/{big}*x1)^7", 1)
+    assert p.degree == 7 and p.n_terms == 8
+    with pytest.raises(ParseCapExceededError):
+        parse_polynomial(f"(1/3 + 1/{big}*x1)^8", 1)
     # the zero polynomial's power costs nothing
     start = time.perf_counter()
     assert parse_polynomial("(x1-x1)^100000", 1).is_zero()
