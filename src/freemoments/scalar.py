@@ -183,7 +183,8 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real Scalar equals its re, an int or a Fraction, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

@@ -55,6 +55,20 @@ def test_division_and_powers():
         a / Scalar(0)
 
 
+def test_hash_agrees_with_equality():
+    # a real Scalar equals the int or Fraction of its value, so it must hash
+    # like it: sets and dict keys then treat the two as one key
+    for s, value in [(Scalar(1), 1), (Scalar(0), 0), (Scalar(-7), -7),
+                     (Scalar(Fraction(2, 3)), Fraction(2, 3))]:
+        assert s == value and hash(s) == hash(value)
+    assert Scalar(3) in {3}
+    assert len({Scalar(2), 2}) == 1
+    assert {Fraction(1, 2): "half"}[Scalar(Fraction(1, 2))] == "half"
+    # a complex Scalar equals no int or Fraction
+    assert hash(Scalar(1, 2)) == hash(Scalar(Fraction(2, 2), 2))
+    assert len({Scalar(1, 2), Scalar(1, -2), Scalar(1)}) == 3
+
+
 def test_conjugate_and_predicates():
     a = Scalar(Fraction(1, 3), -2)
     assert a.conjugate() == Scalar(Fraction(1, 3), 2)
