@@ -116,11 +116,6 @@ class NCPolynomial:
         for word in sorted(self._terms, key=word_key):
             yield word, self._terms[word]
 
-    def unordered_terms(self) -> Iterable[Tuple[Word, Scalar]]:
-        """Terms in storage order, without the sort of ``terms()``; for
-        results that do not depend on the order, such as exact sums."""
-        return self._terms.items()
-
     def integer_terms(self) -> Tuple[int, List[Tuple[Word, int, int]]]:
         """``(lam, [(word, re, im)])``: lam*p in canonical term order, with int
         parts and lam the least common multiple of every denominator, the

@@ -327,7 +327,7 @@ def check_parser_expression_trees(cases=500, seed=120):
         text, _ = render_tree(rng, tree)
         want = expand_tree(tree)
         got = parse_polynomial(text, n_vars)
-        assert {w: (c.re, c.im) for w, c in got.unordered_terms()} == want, text
+        assert {w: (c.re, c.im) for w, c in got.terms()} == want, text
         assert got.n_terms == len(want), text
         # lam*p over the least common denominator, in canonical term order
         lam = math.lcm(*(x.denominator for c in want.values() for x in c))
@@ -497,7 +497,7 @@ def _expanded_moment(p, m):
     return sum(
         (
             coeff * word_moment(word, max_length=max_len)
-            for word, coeff in (p ** m).unordered_terms()
+            for word, coeff in (p ** m).terms()
         ),
         Scalar(0),
     )
