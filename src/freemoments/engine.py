@@ -2,9 +2,11 @@
 
 Given a noncommutative polynomial p and a target order M, the engine
 
-1. clears the denominators of every coefficient of p, the constant c
-   included (``NCPolynomial.integer_terms``), so lam*p has Gaussian-integer
-   coefficients, and sets its constant lam*c aside: lam*p = lam*c + lam*q;
+1. takes lam*p as p stores it (``NCPolynomial.integer_terms``): lam is the
+   lcm of the denominators of every coefficient, the constant c's included,
+   so lam*p has Gaussian-integer coefficients, which the parser computed
+   on integers from the text on; it sets the constant lam*c aside:
+   lam*p = lam*c + lam*q;
 2. builds (z*lam*q)* as a weighted automaton on the residuals of q
    (Berstel and Reutenauer, Noncommutative Rational Series with
    Applications, ch. 2): its states are the distinct nonconstant
@@ -191,8 +193,8 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     """All moments tau(p(s_1,...,s_n)^m) for m = 1..max_order, exactly."""
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be between 1 and {MAX_ORDER}")
-    # clear every denominator, the constant's included, so the whole path
-    # runs on integers: tau(p^m) = tau((lam*p)^m) / lam^m
+    # p is stored with every denominator cleared, the constant's included,
+    # so the whole path runs on integers: tau(p^m) = tau((lam*p)^m) / lam^m
     lam, terms = p.integer_terms()
     # p = p* term by term: reverse each word and conjugate (lam is real)
     parts = {w: (re, im) for w, re, im in terms}

@@ -1,9 +1,11 @@
-"""Words of the free monoid and noncommutative polynomials over Scalar.
+"""Words of the free monoid and noncommutative polynomials over Gaussian rationals.
 
 A word is a tuple of 1-based variable indices; the empty tuple is the monoid
-unit.  A polynomial is a finite map from words to nonzero ``Scalar``
-coefficients.  Terms iterate in length-lexicographic word order so printed
-output and test fixtures are deterministic.
+unit.  A polynomial stores a term map ``(lam, {word: (re, im)})`` of nonzero
+Gaussian-integer numerators over lam >= 1, with gcd(lam, every part) = 1: a
+unique form, whose lam is the lcm of the coefficients' reduced denominators.
+``terms()`` and ``coefficient()`` give ``Scalar``s, in length-lexicographic
+word order, so printed output and test fixtures are deterministic.
 
 ``parse_polynomial`` accepts the input language used by the CLI:
 
@@ -17,12 +19,11 @@ output and test fixtures are deterministic.
 Juxtaposition is not multiplication; write ``3*x1``, not ``3x1``.  Decimal
 literals are rejected so that every coefficient stays exact, and an exponent
 is an integer literal (``x1^4/2`` is refused at the exponent).  The parser
-evaluates on term maps (word -> nonzero Scalar) that carry their degree and
-largest coefficient bit length, and wraps one ``NCPolynomial`` at the end.
-It expands products and powers in full, so it refuses one whose result could
-exceed ``MAX_PARSE_TERMS`` terms, ``MAX_PARSE_DEGREE`` in degree or
-``MAX_PARSE_BITS`` in coefficient bit length, judged on the exact sizes of
-both operands, before expanding it.
+evaluates on term maps and expands products and powers in full, so it
+refuses one whose result could exceed ``MAX_PARSE_TERMS`` terms,
+``MAX_PARSE_DEGREE`` in degree or ``MAX_PARSE_BITS`` in the bit length of a
+coefficient's reduced numerators and denominators, judged on the exact
+sizes of both operands, before expanding it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import ParseCapExceededError, PolyParseError, VariableMismatchError
-from .scalar import I, ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, from_ints
 
 Word = Tuple[int, ...]
 
@@ -54,14 +56,15 @@ def word_key(word: Word):
 
 
 class NCPolynomial:
-    """A noncommutative polynomial: finite map Word -> nonzero Scalar."""
+    """A noncommutative polynomial: finite map Word -> nonzero Gaussian
+    rational, stored as a term map over the least common denominator."""
 
-    __slots__ = ("n_vars", "_terms")
+    __slots__ = ("n_vars", "_map")
 
     def __init__(self, n_vars: int, terms: Dict[Word, Scalar] | None = None):
         if n_vars < 1:
             raise ValueError("n_vars must be a positive integer")
-        cleaned: Dict[Word, Scalar] = {}
+        coeffs: Dict[Word, Scalar] = {}
         for word, coeff in (terms or {}).items():
             if not isinstance(coeff, Scalar):
                 coeff = Scalar(coeff)
@@ -69,12 +72,13 @@ class NCPolynomial:
                 continue
             for letter in word:
                 if not 1 <= letter <= n_vars:
-                    raise VariableMismatchError(
-                        f"letter {letter} outside 1..{n_vars}"
-                    )
-            cleaned[tuple(word)] = coeff
+                    raise VariableMismatchError(f"letter {letter} outside 1..{n_vars}")
+            coeffs[tuple(word)] = coeff
+        # over the lcm of reduced denominators no prime divides every part
+        lam = math.lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
+        cleared = {w: (int(c.re * lam), int(c.im * lam)) for w, c in coeffs.items()}
         object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_map", (lam, cleared))
 
     def __setattr__(self, name, value):
         raise AttributeError("NCPolynomial is immutable")
@@ -82,7 +86,7 @@ class NCPolynomial:
     def __reduce__(self):
         # copy and pickle rebuild through the constructor; the default slot
         # restore would go through the refusing __setattr__
-        return (NCPolynomial, (self.n_vars, self._terms))
+        return (NCPolynomial, (self.n_vars, dict(self.terms())))
 
     # -- constructors ---------------------------------------------------------
 
@@ -92,7 +96,7 @@ class NCPolynomial:
 
     @classmethod
     def constant(cls, n_vars: int, value) -> "NCPolynomial":
-        return cls(n_vars, {WORD_UNIT: Scalar(value) if not isinstance(value, Scalar) else value})
+        return cls(n_vars, {WORD_UNIT: value})
 
     @classmethod
     def variable(cls, n_vars: int, index: int) -> "NCPolynomial":
@@ -105,34 +109,30 @@ class NCPolynomial:
     @property
     def degree(self) -> int:
         """Maximum word length among stored terms (0 for the zero polynomial)."""
-        return max((len(w) for w in self._terms), default=0)
+        return max(map(len, self._map[1]), default=0)
 
     @property
     def n_terms(self) -> int:
-        return len(self._terms)
+        return len(self._map[1])
 
     def terms(self) -> Iterator[Tuple[Word, Scalar]]:
         """Terms in canonical length-lexicographic order."""
-        for word in sorted(self._terms, key=word_key):
-            yield word, self._terms[word]
+        lam, parts = self.integer_terms()
+        return ((w, from_ints(a, b, lam)) for w, a, b in parts)
 
     def integer_terms(self) -> Tuple[int, List[Tuple[Word, int, int]]]:
         """``(lam, [(word, re, im)])``: lam*p in canonical term order, with int
         parts and lam the least common multiple of every denominator, the
         constant's included.  The zero polynomial gives ``(1, [])``."""
-        terms = list(self.terms())
-        lam = math.lcm(*(x.denominator for _, c in terms for x in (c.re, c.im)))
-        return lam, [
-            (w, c.re.numerator * (lam // c.re.denominator),
-             c.im.numerator * (lam // c.im.denominator))
-            for w, c in terms
-        ]
+        lam, terms = self._map
+        return lam, [(w, *terms[w]) for w in sorted(terms, key=word_key)]
 
     def coefficient(self, word: Word) -> Scalar:
-        return self._terms.get(tuple(word), ZERO)
+        c = self._map[1].get(tuple(word))
+        return ZERO if c is None else from_ints(*c, self._map[0])
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._map[1]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -155,27 +155,20 @@ class NCPolynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_vars(other)
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            out[word] = out.get(word, ZERO) + coeff
-        return NCPolynomial(self.n_vars, out)
+        return _wrap(self.n_vars, _sum([(1, self._map), (1, other._map)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap(self.n_vars, {w: -c for w, c in self._terms.items()})
+        return _wrap(self.n_vars, _sum([(-1, self._map)]))
 
     def __sub__(self, other):
         other = NCPolynomial._coerce(other, self.n_vars)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         other = NCPolynomial._coerce(other, self.n_vars)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -183,29 +176,24 @@ class NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         self._check_vars(other)
-        return _wrap(self.n_vars, _product(self._terms, other._terms))
+        return _wrap(self.n_vars, _product(self._map, other._map))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
+    # a scalar factor commutes, and a polynomial on the left uses its own __mul__
+    __rmul__ = __mul__
 
     def scale(self, factor) -> "NCPolynomial":
-        if not isinstance(factor, Scalar):
-            factor = Scalar(factor)
-        return NCPolynomial(
-            self.n_vars, {w: factor * c for w, c in self._terms.items()}
-        )
+        # a constant is central, so the order of the factors does not matter
+        return self * NCPolynomial.constant(self.n_vars, factor)
 
     def __pow__(self, exponent: int) -> "NCPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        return _wrap(self.n_vars, _power(self._terms, exponent))
+        return _wrap(self.n_vars, _power(self._map, exponent))
 
     def adjoint(self) -> "NCPolynomial":
         """Formal adjoint: reverse every word, conjugate every coefficient."""
-        terms = {tuple(reversed(w)): c.conjugate() for w, c in self._terms.items()}
-        return _wrap(self.n_vars, terms)
+        lam, terms = self._map
+        return _wrap(self.n_vars, (lam, {w[::-1]: (a, -b) for w, (a, b) in terms.items()}))
 
     def is_self_adjoint(self) -> bool:
         return self == self.adjoint()
@@ -213,7 +201,7 @@ class NCPolynomial:
     def __eq__(self, other):
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        return self.n_vars == other.n_vars and self._terms == other._terms
+        return self.n_vars == other.n_vars and self._map == other._map
 
     # -- printing ---------------------------------------------------------------
 
@@ -232,7 +220,7 @@ class NCPolynomial:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if self.is_zero():
             return "0"
         rendered = []
         for word, coeff in self.terms():
@@ -266,45 +254,64 @@ class NCPolynomial:
         return f"NCPolynomial({self}, n_vars={self.n_vars})"
 
 
-# -- term maps: dicts Word -> nonzero Scalar, the ``_terms`` of a polynomial -------
+# -- term maps (lam, {Word: (re, im)}), the ``_map`` of a polynomial ------------
 
-
-def _wrap(n_vars: int, terms: Dict[Word, Scalar]) -> NCPolynomial:
-    """A polynomial that takes a term map as it is, without re-validating."""
+def _wrap(n_vars: int, tmap: tuple) -> NCPolynomial:
+    """A polynomial that takes a canonical term map as it is."""
     poly = object.__new__(NCPolynomial)
     object.__setattr__(poly, "n_vars", n_vars)
-    object.__setattr__(poly, "_terms", terms)
+    object.__setattr__(poly, "_map", tmap)
     return poly
 
 
-def _product(a: Dict[Word, Scalar], b: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
+def _canonical(lam: int, terms: dict) -> tuple:
+    """The term map of (nonzero) ``terms`` over lam, in lowest terms."""
+    g = math.gcd(lam, *chain.from_iterable(terms.values()))
+    if g > 1:
+        return lam // g, {w: (a // g, b // g) for w, (a, b) in terms.items()}
+    return lam, terms
+
+
+def _sum(signed: list) -> tuple:
+    """The sum of the term maps of ``[(sign, map)]``, signs 1 or -1."""
+    lam = math.lcm(*[tmap[0] for _, tmap in signed])
+    out = {}
+    for sign, (lam_t, terms) in signed:
+        f = sign * lam // lam_t
+        for word, (a, b) in terms.items():
+            prev = out.get(word)
+            out[word] = (a * f, b * f) if prev is None else (prev[0] + a * f, prev[1] + b * f)
+    return _canonical(lam, {w: c for w, c in out.items() if c != (0, 0)})
+
+
+def _product(a: tuple, b: tuple) -> tuple:
     """The noncommutative product of two term maps, as a new term map."""
     out = {}
     get = out.get
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            c = cb if ca is ONE else ca if cb is ONE else ca * cb
+    for wa, (p, q) in a[1].items():
+        for wb, (r, s) in b[1].items():
+            c = (p * r - q * s, p * s + q * r) if q or s else (p * r, 0)
             word = wa + wb
             prev = get(word)
-            out[word] = c if prev is None else prev + c
-    if len(out) < len(a) * len(b):
+            out[word] = c if prev is None else (prev[0] + c[0], prev[1] + c[1])
+    if len(out) < len(a[1]) * len(b[1]):
         # some words met; their sums may have cancelled (without a meeting
-        # every coefficient is a product of two nonzero scalars)
-        out = {w: c for w, c in out.items() if c}
-    return out
+        # every part is a product of two nonzero Gaussian integers)
+        out = {w: c for w, c in out.items() if c != (0, 0)}
+    lam = a[0] * b[0]
+    return (1, out) if lam == 1 else _canonical(lam, out)
 
 
-def _power(terms: Dict[Word, Scalar], k: int) -> Dict[Word, Scalar]:
-    """``terms`` to the power k >= 0 by square and multiply; the factors are
-    powers of one map, so they commute."""
-    result = {WORD_UNIT: ONE}
+def _power(tmap: tuple, k: int) -> tuple:
+    """``tmap`` to the power k >= 0 by square and multiply (its powers commute)."""
+    result = None
     while k:
         if k & 1:
-            result = _product(result, terms)
+            result = tmap if result is None else _product(result, tmap)
         k >>= 1
         if k:
-            terms = _product(terms, terms)
-    return result
+            tmap = _product(tmap, tmap)
+    return (1, {WORD_UNIT: (1, 0)}) if result is None else result
 
 
 def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
@@ -314,10 +321,11 @@ def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
 
 def split_constant(p: NCPolynomial) -> Tuple[Scalar, NCPolynomial]:
     """Split p = c + q with c the unit-word coefficient and q constant-free."""
-    c = p.coefficient(WORD_UNIT)
-    if not c:
+    lam, terms = p._map
+    if WORD_UNIT not in terms:
         return ZERO, p
-    return c, _wrap(p.n_vars, {w: coeff for w, coeff in p._terms.items() if w})
+    rest = _canonical(lam, {w: c for w, c in terms.items() if w})
+    return p.coefficient(WORD_UNIT), _wrap(p.n_vars, rest)
 
 
 def infer_variable_count(text: str) -> int:
@@ -374,7 +382,8 @@ def _tokenize(text: str):
                 denominator = int(text[den_start:i])
                 if not denominator:
                     raise PolyParseError("zero denominator", text, den_start)
-                value = Fraction(value, denominator)
+                g = math.gcd(value, denominator)
+                value = (value // g, denominator // g)  # in lowest terms
             tokens.append(("NUM", value, start))
         elif ch in "+-*^()i":
             tokens.append(("IMAG" if ch == "i" else ch, None, start))
@@ -384,20 +393,23 @@ def _tokenize(text: str):
     return tokens
 
 
-def _bits(coeffs: Iterable[Scalar]) -> int:
-    """Largest bit length of a coefficient's numerator or denominator."""
-    best = 0
-    for c in coeffs:
-        re, im = c.re, c.im
-        best = max(best, re.numerator.bit_length(), re.denominator.bit_length(),
-                   im.numerator.bit_length(), im.denominator.bit_length())
-    return best
+def _bits(tmap: tuple, exact: bool = False) -> int:
+    """max(bits(lam), bits(each part)), never below the largest bit length of
+    a coefficient's reduced numerator or denominator; ``exact`` gives that."""
+    lam, terms = tmap
+    if exact:
+        parts = chain.from_iterable(terms.values())
+        return max([(max(abs(x), lam) // math.gcd(x, lam)).bit_length() for x in parts] or [0])
+    top = lam
+    for x, y in terms.values():
+        top = max(top, x, -x, y, -y)
+    return top.bit_length()
 
 
 class _Parser:
-    """Evaluates the grammar on term maps.  ``_expr`` and ``_term`` return
-    ``(terms, degree)`` and ``_factor`` and ``_atom`` also the largest
-    coefficient bit length; each is exact and the map is the caller's own."""
+    """Evaluates the grammar on term maps.  ``_factor`` also returns the degree
+    and the cheap bit count (``_bits``); the exact count is taken only where
+    the cheap one would refuse, so every refusal is the exact count's."""
 
     def __init__(self, text: str, n_vars: int):
         self.text = text
@@ -406,21 +418,11 @@ class _Parser:
         self.tokens = _tokenize(text)[::-1]
 
     def _expr(self):
-        acc = {}
-        get = acc.get
         op = self.tokens.pop()[0] if self.tokens[-1][0] in ("+", "-") else "+"
-        while True:
-            terms, _ = self._term()
-            for word, c in terms.items():
-                if op == "-":
-                    c = -c
-                prev = get(word)
-                acc[word] = c if prev is None else prev + c
-            if self.tokens[-1][0] not in ("+", "-"):
-                break
-            op = self.tokens.pop()[0]
-        acc = {w: c for w, c in acc.items() if c}
-        return acc, max(map(len, acc), default=0)
+        signed = [(-1 if op == "-" else 1, self._term())]
+        while self.tokens[-1][0] in ("+", "-"):
+            signed.append((-1 if self.tokens.pop()[0] == "-" else 1, self._term()))
+        return _sum(signed)
 
     def _refuse_expansion(self, pos: int):
         raise ParseCapExceededError(
@@ -430,60 +432,60 @@ class _Parser:
         )
 
     def _term(self):
-        terms, degree, bits = self._factor()
+        tmap, degree, bits = self._factor()
         while self.tokens[-1][0] == "*":
             pos = self.tokens.pop()[2]
-            f_terms, f_degree, f_bits = self._factor()
+            f_map, f_degree, f_bits = self._factor()
             if bits is None:  # a product's is taken only once it is an operand
-                bits = _bits(terms.values())
-            if (degree + f_degree > MAX_PARSE_DEGREE or bits + f_bits > MAX_PARSE_BITS
-                    or len(terms) * len(f_terms) > MAX_PARSE_TERMS):
+                bits = _bits(tmap)
+            if (degree + f_degree > MAX_PARSE_DEGREE
+                    or bits + f_bits > MAX_PARSE_BITS
+                    and _bits(tmap, True) + _bits(f_map, True) > MAX_PARSE_BITS
+                    or len(tmap[1]) * len(f_map[1]) > MAX_PARSE_TERMS):
                 self._refuse_expansion(pos)
-            terms = _product(terms, f_terms)
+            tmap = _product(tmap, f_map)
             # the free algebra has no zero divisors: a nonzero product's
             # degree is the sum of its factors'
-            degree = degree + f_degree if terms else 0
+            degree = degree + f_degree if tmap[1] else 0
             bits = None
-        return terms, degree
+        return tmap
 
     def _factor(self):
-        terms, degree, bits = self._atom()
+        kind, value, pos = self.tokens.pop()
+        if kind == "NUM":  # an int, or a pair (numerator, denominator)
+            num, den = (value, 1) if value.__class__ is int else value
+            tmap, degree = (den, {WORD_UNIT: (num, 0)} if num else {}), 0
+            bits = max(num, den).bit_length()
+        elif kind == "IMAG":
+            tmap, degree, bits = (1, {WORD_UNIT: (0, 1)}), 0, 1
+        elif kind == "VAR":
+            if not 1 <= value <= self.n_vars:
+                message = f"variable index x{value} out of range (n_vars={self.n_vars})"
+                raise PolyParseError(message, self.text, pos)
+            tmap, degree, bits = (1, {(value,): (1, 0)}), 1, 1
+        elif kind == "(":
+            tmap = self._expr()
+            kind, _, pos = self.tokens.pop()
+            if kind != ")":
+                raise PolyParseError("expected ')'", self.text, pos)
+            degree, bits = max(map(len, tmap[1]), default=0), _bits(tmap)
+        else:
+            message = "expected a variable, literal or parenthesized expression"
+            raise PolyParseError(message, self.text, pos)
         if self.tokens[-1][0] != "^":
-            return terms, degree, bits
+            return tmap, degree, bits
         self.tokens.pop()
         kind, k, pos = self.tokens.pop()
         if kind != "NUM" or k.__class__ is not int:
             raise PolyParseError("exponent must be a nonnegative integer", self.text, pos)
         # the power is taken only once the degree and the bit length fit,
         # which bounds k (a nonzero coefficient has at least one bit)
-        if (degree * k > MAX_PARSE_DEGREE or bits * k > MAX_PARSE_BITS
-                or len(terms) ** k > MAX_PARSE_TERMS):
+        if (degree * k > MAX_PARSE_DEGREE
+                or bits * k > MAX_PARSE_BITS and _bits(tmap, True) * k > MAX_PARSE_BITS
+                or len(tmap[1]) ** k > MAX_PARSE_TERMS):
             self._refuse_expansion(pos)
-        terms = _power(terms, k)
-        return terms, degree * k, _bits(terms.values())
-
-    def _atom(self):
-        kind, value, pos = self.tokens.pop()
-        if kind == "NUM":
-            if not value:
-                return {}, 0, 0
-            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-            return {WORD_UNIT: Scalar(value)}, 0, bits
-        if kind == "IMAG":
-            return {WORD_UNIT: I}, 0, 1
-        if kind == "VAR":
-            if not 1 <= value <= self.n_vars:
-                message = f"variable index x{value} out of range (n_vars={self.n_vars})"
-                raise PolyParseError(message, self.text, pos)
-            return {(value,): ONE}, 1, 1
-        if kind == "(":
-            terms, degree = self._expr()
-            kind, _, pos = self.tokens.pop()
-            if kind != ")":
-                raise PolyParseError("expected ')'", self.text, pos)
-            return terms, degree, _bits(terms.values())
-        message = "expected a variable, literal or parenthesized expression"
-        raise PolyParseError(message, self.text, pos)
+        tmap = _power(tmap, k)
+        return tmap, degree * k, _bits(tmap)
 
 
 def parse_polynomial(text: str, n_vars: int) -> NCPolynomial:
@@ -496,8 +498,8 @@ def parse_polynomial(text: str, n_vars: int) -> NCPolynomial:
     if n_vars < 1:
         raise ValueError("n_vars must be a positive integer")
     parser = _Parser(text, n_vars)
-    terms, _ = parser._expr()
+    tmap = parser._expr()
     kind, _, pos = parser.tokens[-1]
     if kind != "END":
         raise PolyParseError("unexpected trailing input", text, pos)
-    return _wrap(n_vars, terms)
+    return _wrap(n_vars, tmap)
