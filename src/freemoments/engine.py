@@ -196,9 +196,7 @@ def moments(p: NCPolynomial, max_order: int) -> MomentVector:
     # p is stored with every denominator cleared, the constant's included,
     # so the whole path runs on integers: tau(p^m) = tau((lam*p)^m) / lam^m
     lam, terms = p.integer_terms()
-    # p = p* term by term: reverse each word and conjugate (lam is real)
-    parts = {w: (re, im) for w, re, im in terms}
-    self_adjoint = all(parts.get(w[::-1]) == (re, -im) for w, re, im in terms)
+    self_adjoint = p.is_self_adjoint()
     c_re = c_im = 0
     if terms and not terms[0][0]:  # the constant sorts first
         _, c_re, c_im = terms.pop(0)

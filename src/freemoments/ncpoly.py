@@ -382,8 +382,7 @@ def _tokenize(text: str):
                 denominator = int(text[den_start:i])
                 if not denominator:
                     raise PolyParseError("zero denominator", text, den_start)
-                g = math.gcd(value, denominator)
-                value = (value // g, denominator // g)  # in lowest terms
+                value = (value, denominator)  # the expression's _sum reduces it
             tokens.append(("NUM", value, start))
         elif ch in "+-*^()i":
             tokens.append(("IMAG" if ch == "i" else ch, None, start))

@@ -257,6 +257,12 @@ def test_parse_cap_boundaries():
     assert p.degree == 7 and p.n_terms == 8
     with pytest.raises(ParseCapExceededError):
         parse_polynomial(f"(1/3 + 1/{big}*x1)^8", 1)
+    # and so does a product: D^3 and D^4 have 42,853 and 57,137 bits, while
+    # 27*D^3 and 81^4*D^4, the common denominators, have 100,019 together
+    p = parse_polynomial(f"(1/3 + 1/{big}*x1)^3*(1/81 + 1/{big}*x1)^4", 1)
+    assert p.degree == 7 and p.n_terms == 8
+    with pytest.raises(ParseCapExceededError):
+        parse_polynomial(f"(1/3 + 1/{big}*x1)^4*(1/81 + 1/{big}*x1)^4", 1)
     # the zero polynomial's power costs nothing
     start = time.perf_counter()
     assert parse_polynomial("(x1-x1)^100000", 1).is_zero()
