@@ -220,35 +220,24 @@ class NCPolynomial:
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        rendered = []
-        for word, coeff in self.terms():
-            word_str = self._word_str(word) if word else ""
-            if coeff.is_real():
-                negative = coeff.re < 0
-                mag = -coeff.re if negative else coeff.re
-                if not word_str:
-                    body = str(mag)
-                elif mag == 1:
-                    body = word_str
-                else:
-                    body = f"{mag}*{word_str}"
-            elif coeff.re == 0:
-                negative = coeff.im < 0
-                mag = -coeff.im if negative else coeff.im
-                base = "i" if mag == 1 else f"{mag}*i"
-                body = f"{base}*{word_str}" if word_str else base
+        lam, parts = self.integer_terms()
+        out = ""
+        for word, a, b in parts:
+            if a and b:  # parenthesized, with no sign of its own
+                negative, factors = False, [f"({from_ints(a, b, lam)})"]
             else:
-                negative = False
-                base = f"({coeff})"
-                body = f"{base}*{word_str}" if word_str else base
-            rendered.append((negative, body))
-        first_neg, first_body = rendered[0]
-        out = ("-" if first_neg else "") + first_body
-        for negative, body in rendered[1:]:
-            out += (" - " if negative else " + ") + body
-        return out
+                x = a or b
+                negative, g = x < 0, math.gcd(x, lam)
+                # a magnitude of 1 is written only when nothing else is
+                mag = f"{abs(x) // g}/{lam // g}" if lam > g else f"{abs(x) // g}"
+                factors = [] if abs(x) == lam and (b or word) else [mag]
+                factors += ["i"] if b else []
+            body = "*".join(factors + [self._word_str(word)] if word else factors)
+            if out:
+                out += (" - " if negative else " + ") + body
+            else:
+                out = ("-" if negative else "") + body
+        return out or "0"
 
     def __repr__(self):
         return f"NCPolynomial({self}, n_vars={self.n_vars})"
