@@ -393,10 +393,12 @@ def random_kernel_rows(rng: random.Random, graded: bool):
     return mats, dim, ((phase, chi, 2) if graded else None)
 
 
-def kernel_row_features(mats) -> Tuple[bool, bool]:
+def kernel_row_features(mats, grading) -> Tuple[bool, bool, bool]:
     """Whether two letters give the same product mu_i[j][t] Q[t][u] mu_i[u][s]
-    at the same z-degree e (the kernel then adds both into one cell of B), and
-    whether some entry has both a z^0 and a z^1 part."""
+    at the same z-degree e (the kernel then adds both into one cell of B),
+    whether some entry has both a z^0 and a z^1 part, and whether some row j
+    has such products into columns s of both phases of ``grading`` (so its
+    row of B holds cells of both phases; None is the trivial grading)."""
     letters = {}  # (j, t, u, s, e) -> letters that give it
     for i, mu in enumerate(mats):
         ends = [(u, s, e) for u, entries in mu.items() for s, zp in entries
@@ -410,7 +412,10 @@ def kernel_row_features(mats) -> Tuple[bool, bool]:
     shared = any(len(found) > 1 for found in letters.values())
     two_part = any(len(zp) > 1 and zp[0] and zp[1]
                    for mu in mats for entries in mu.values() for _, zp in entries)
-    return shared, two_part
+    phases = {}  # j -> phases of the columns s that row j's products reach
+    for j, _, _, s, _ in letters:
+        phases.setdefault(j, set()).add(grading[0][s] if grading else 0)
+    return shared, two_part, any(len(found) > 1 for found in phases.values())
 
 
 # -- exact linear algebra helpers ---------------------------------------------------

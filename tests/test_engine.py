@@ -314,16 +314,16 @@ def test_iterate_matches_dense_jacobi():
     rng = random.Random(2001)
     features = []
     for case in range(60):
-        mats, dim, _ = random_kernel_rows(rng, case % 2 == 0)
-        features.append(kernel_row_features(mats))
+        mats, dim, grading = random_kernel_rows(rng, case % 2 == 0)
+        features.append(kernel_row_features(mats, grading))
         n_coeffs = rng.randint(1, 6)
         for steps in range(1, dim + 3):
             expected = dense_jacobi(mats, dim, n_coeffs, steps)[0][dim - 1]
             got = _sweep(mats, dim, n_coeffs, steps)
             assert got == expected, (case, steps)
-    # the corpus has letters that give one product of B twice, and entries
-    # with both a z^0 and a z^1 part
-    assert [any(seen) for seen in zip(*features)] == [True, True]
+    # the corpus has letters that give one product of B twice, entries with
+    # both a z^0 and a z^1 part, and graded rows of B with both phases
+    assert [any(seen) for seen in zip(*features)] == [True, True, True]
     for case in range(8):
         gaussian = case % 2 == 1
         mats, dim, _ = random_kernel_rows(rng, case % 4 < 2)
@@ -427,7 +427,7 @@ def test_solve_matches_dense_reference():
     features = []
     for case in range(60):
         mats, dim, grading = random_kernel_rows(rng, case % 2 == 0)
-        features.append(kernel_row_features(mats))
+        features.append(kernel_row_features(mats, grading))
         n_coeffs = rng.randint(1, 8)
         for modulus in (0, 2, 97, 2**40 + 1):
             expected = dense_solve(mats, dim, n_coeffs, modulus)[dim - 1][dim - 1]
@@ -436,7 +436,10 @@ def test_solve_matches_dense_reference():
                 assert got == expected[:n], (case, modulus, n)
             if grading is not None and not modulus:
                 assert not any(c for k, c in enumerate(expected) if k % 2), case
-    assert [any(seen) for seen in zip(*features)] == [True, True]
+    # letters that give one product of B twice, entries with both a z^0 and
+    # a z^1 part, and graded cases whose row of B gets cells of both phases,
+    # so that one dict holds both and the modulus pass walks them all
+    assert [any(seen) for seen in zip(*features)] == [True, True, True]
     # no states: P is empty, and so is its entry
     assert _kernel.solve([], 0, 4) == [0] * 4
 
