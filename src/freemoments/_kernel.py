@@ -14,9 +14,9 @@ B = eta(Q) = sum_i mu_i Q mu_i: the operator-valued semicircular equation
 z-degree <= 1, so order k of B is a sum of single products that read Q at
 orders k, k - 1 and k - 2, and only B Q is a convolution: one
 matrix-series product per order, whatever the number of letters.  B and Q
-are rows of dicts of nonzero cells, zero blocks skipped.  A cell is its
-M + 1 coefficients and then the order it was made at, below which it is 0;
-a dict holds its cells in that order, so the convolution skips the
+are rows of dicts, column -> nonzero cell, zero blocks skipped.  A cell is
+its M + 1 coefficients and then the order it was made at, below which it
+is 0; a dict holds its cells in that order, so the convolution skips the
 products that cannot reach k.
 
 ``solve`` runs one loop over orders k and, in each, over rows j.  Row j
@@ -47,14 +47,16 @@ B[j][l] are nonzero only at orders k = phi(j) + phi(l), by induction on the
 fixed point: a z^e1 entry at (j, t) of mu_i, Q[t][u] at an order of
 parity phi(t) + phi(u) and a z^e2 entry at (u, s) of the same mu_i land at
 phi(j) + phi(s) + 2 (phi(t) + phi(u) + chi_i), where chi_i cancels, and
-B[j][s] Q[s][l] at phi(j) + phi(l).  So B and Q share one layout, a
-column dict per phase in every row; order k writes only the phase it
-allows, and the convolution takes stride 2, ``f[v:k+1:2]`` against
+B[j][s] Q[s][l] at phi(j) + phi(l).  So a row of Q keeps a column dict per
+phase, and a row of B one dict, whose cells of the other phase are 0 at
+order k.  Order k writes only the phase h it allows, walking once per row,
+last row first, a list of (plan list, B row, Q dict) for h built once per
+order parity, and the convolution takes stride 2, ``f[v:k+1:2]`` against
 ``g[k-v::-2]``, where the order v that f was made at has the parity of its
 orders.  Rows without a grading (``x1^2 + x2^2``, or any entry with both a
 z^0 and a z^1 part) run the same loop on the trivial grading: every phase
-0, stride 1, one column dict per row.  ``solve`` checks every entry
-against the grading it was given before any arithmetic.
+0, stride 1, one dict per row.  ``solve`` checks every entry against the
+grading it was given before any arithmetic.
 """
 
 from __future__ import annotations
@@ -104,10 +106,10 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
     Every z^0 entry (j, t) of the mu_i must have t > j, and every nonzero
     entry must satisfy the ``grading`` given (None is the trivial grading,
     which every entry satisfies); otherwise ``AssertionError`` is raised
-    before any arithmetic.  With a ``modulus`` n, every cell of B and of Q
-    written at order k is brought back into (-n/2, n/2] once its row is
+    before any arithmetic.  With a ``modulus`` n, order k of every cell in
+    a row of B and of Q is brought back into (-n/2, n/2] once the row is
     done, so the entry is exact modulo n.  Every cell but the entry stops
-    one order short: the last order computes the entry alone (see above).
+    one order short: the last order walks row dim - 1 alone (see above).
     """
     grading = grading or ([0] * dim, [0] * len(mats), 1)
     phase, chi, step = grading
@@ -127,21 +129,20 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
                             f"z^{e} entry ({j}, {t}) of letter {i} breaks the "
                             "Z/2 grading given for the representation"
                         )
-    if not dim:
+    if not (dim and n_coeffs):
         return [0] * n_coeffs
     q = _identity(grading, n_coeffs)
     plan = _plan(mats, grading, q)
-    b = [({}, {})[:step] for _ in plan]
-    half = (modulus - 1) // 2
+    b = [{} for _ in plan]  # row j of B: column -> cell, of either phase
     top = dim - 1
+    walks = [[(plan[j][h], b[j], q[j][h], h) for j in range(top, -1, -1)
+              for h in [phase[j] ^ kp]] for kp in range(step)]
+    half = (modulus - 1) // 2
     for k in range(n_coeffs):
-        kp = k % step
         last = k == n_coeffs - 1  # only Q[top][top] is read at this order
-        for j in (top,) if last else range(top, -1, -1):
-            h = phase[j] ^ kp
-            b_j, q_j = b[j][h], q[j][h]
+        for plan_j, b_j, q_j, h in walks[k % step][: 1 if last else dim]:
             # order k of row j of B = eta(Q), one plan entry per product
-            for cols, u, s, e, c in plan[j][h]:
+            for cols, u, s, e, c in plan_j:
                 if k >= e:
                     src = cols.get(u)
                     if src is not None:
@@ -152,27 +153,26 @@ def solve(mats: SparseMats, dim: int, n_coeffs: int, modulus: int = 0,
                                 cell = b_j[s] = [0] * n_coeffs + [k]
                             cell[k] += c * x
             # order k of row j of B Q, added to Q
-            for mid in b[j]:
-                for s, f in mid.items():
-                    cols = q[s][h]
-                    if last:
-                        cols = {top: cols[top]} if top in cols else None
-                    if cols:
-                        # B[j][s] is 0 below order v and off every step-th order:
-                        # only the Q[s][l] of phase h made by order k - v count
-                        v = f[-1]
-                        back = k - v
-                        head = f[v : k + 1 : step]
-                        for l, g in cols.items():
-                            if g[-1] > back:  # made too late, as is every later cell
-                                break
-                            x = sum(map(_mul, head, g[back::-step]))
-                            if x:
-                                cell = q_j.get(l)
-                                if cell is None:
-                                    cell = q_j[l] = [0] * n_coeffs + [k]
-                                cell[k] += x
-            if modulus:  # row j of order k is final
+            for s, f in b_j.items():
+                cols = q[s][h]
+                if last:
+                    cols = {top: cols[top]} if top in cols else None
+                if cols:
+                    # B[j][s] is 0 below order v and off every step-th order:
+                    # only the Q[s][l] of phase h made by order k - v count
+                    v = f[-1]
+                    back = k - v
+                    head = f[v : k + 1 : step]
+                    for l, g in cols.items():
+                        if g[-1] > back:  # made too late, as is every later cell
+                            break
+                        x = sum(map(_mul, head, g[back::-step]))
+                        if x:
+                            cell = q_j.get(l)
+                            if cell is None:
+                                cell = q_j[l] = [0] * n_coeffs + [k]
+                            cell[k] += x
+            if modulus:  # row j of order k is final; B's other phase is 0 here
                 for cells in (b_j, q_j):
                     for cell in cells.values():
                         if cell[k]:

@@ -442,6 +442,11 @@ def test_solve_matches_dense_reference():
     assert [any(seen) for seen in zip(*features)] == [True, True, True]
     # no states: P is empty, and so is its entry
     assert _kernel.solve([], 0, 4) == [0] * 4
+    # no coefficients asked for: none returned, with states or without
+    rows, n, grading = build_residual_rows([((1,), 1)])
+    assert _kernel.solve([], 0, 0) == []
+    assert _kernel.solve(rows, n, 0, 0, grading) == []
+    assert _kernel.solve(rows, n, 0) == []
 
 
 def test_complex_decode():
