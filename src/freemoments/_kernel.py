@@ -49,14 +49,14 @@ parity phi(t) + phi(u) and a z^e2 entry at (u, s) of the same mu_i land at
 phi(j) + phi(s) + 2 (phi(t) + phi(u) + chi_i), where chi_i cancels, and
 B[j][s] Q[s][l] at phi(j) + phi(l).  So a row of Q keeps a column dict per
 phase, and a row of B one dict, whose cells of the other phase are 0 at
-order k.  Order k writes only the phase h it allows, walking once per row,
-last row first, a list of (plan list, B row, Q dict) for h built once per
-order parity, and the convolution takes stride 2, ``f[v:k+1:2]`` against
-``g[k-v::-2]``, where the order v that f was made at has the parity of its
-orders.  Rows without a grading (``x1^2 + x2^2``, or any entry with both a
-z^0 and a z^1 part) run the same loop on the trivial grading: every phase
-0, stride 1, one dict per row.  ``solve`` checks every entry against the
-grading it was given before any arithmetic.
+order k.  Order k writes only the phase h it allows: it walks, last row
+first, a list built once per order parity of each row's plan list, row of
+B and dict of Q for h, and the convolution takes stride 2, ``f[v:k+1:2]``
+against ``g[k-v::-2]``, where the order v that f was made at has the
+parity of its orders.  Rows without a grading (``x1^2 + x2^2``, or any
+entry with both a z^0 and a z^1 part) run the same loop on the trivial
+grading: every phase 0, stride 1, one dict per row.  ``solve`` checks every
+entry against the grading it was given before any arithmetic.
 """
 
 from __future__ import annotations
